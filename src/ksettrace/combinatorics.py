@@ -13,6 +13,8 @@ from typing import Sequence
 
 import mpmath
 
+from .ksets import orbit_length_counts
+
 mpmath.mp.dps = 60
 
 
@@ -128,11 +130,9 @@ def sigma_Sigma(
     orbit length under the underlying permutation divides rm.
 
     Every listed cycle length must NOT divide rm (these are the cycles
-    outside Delta).  Counted by enumerating subsets distributed across
-    cycles and testing the lcm of per-cycle rotation periods.
+    outside Delta).  The sum over every L | rm of the counting kernel
+    `ksets.orbit_length_counts`.
     """
-    from .ksets import rotation_period
-
     u = sum(cycle_lengths)
     if any(rm % t == 0 for t in cycle_lengths):
         raise ValueError("every cycle length must fail to divide rm")
@@ -140,33 +140,7 @@ def sigma_Sigma(
         raise ValueError(f"need 1 <= k0 <= u, got k0={k0}, u={u}")
     if math.comb(u, k0) > budget:
         raise ValueError(f"C({u},{k0}) exceeds budget {budget}")
-
-    # per cycle: {points taken j: {period d: count}} restricted to d | rm paths
-    per_cycle = []
-    for t in cycle_lengths:
-        table: dict[int, dict[int, int]] = {}
-        for j in range(0, min(t, k0) + 1):
-            for pts in combinations(range(t), j):
-                d = rotation_period(t, pts)
-                table.setdefault(j, {}).setdefault(d, 0)
-                table[j][d] += 1
-        per_cycle.append(table)
-
-    state: dict[tuple[int, int], int] = {(0, 1): 1}
-    for table in per_cycle:
-        nxt: dict[tuple[int, int], int] = {}
-        for (used, cur), cnt in state.items():
-            for j, by_d in table.items():
-                if used + j > k0:
-                    continue
-                for d, ways in by_d.items():
-                    length = math.lcm(cur, d)
-                    if rm % length != 0:
-                        continue
-                    key = (used + j, length)
-                    nxt[key] = nxt.get(key, 0) + cnt * ways
-        state = nxt
-    return sum(cnt for (used, _), cnt in state.items() if used == k0)
+    return sum(orbit_length_counts(cycle_lengths, k0, rm).values())
 
 
 def _mpf(x) -> mpmath.mpf:

@@ -1,16 +1,21 @@
 """The induced action of a degree-n permutation on k-element subsets.
 
 Two independent orbit-length engines: capped iterated tracing, and an exact
-engine combining per-cycle rotation periods by lcm.
+engine combining per-cycle rotation periods by lcm.  One counting kernel,
+`orbit_length_counts`, counts k-subsets by orbit length over the divisors of
+rm; the exact pass fraction pi_g (`good_ksubset_fraction`),
+`count_bad_ksubsets` and `combinatorics.sigma_Sigma` all read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from .families import _divisors
 from .perms import DegreeMismatchError, Permutation
 
 
@@ -175,82 +180,67 @@ def count_bad_ksubsets(
         raise EnumerationBudgetError(
             f"C({n},{k}) = {total} exceeds budget {budget}; use Monte Carlo mode"
         )
-    lengths = _orbit_length_counts(g, k)
-    good_count = sum(
-        cnt for length, cnt in lengths.items() if length % m == 0 and r % (length // m) == 0
-    )
-    bad = total - good_count
-    return (good_count if good else bad), total
+    good_count = int(good_ksubset_fraction(g, k, m, r) * total)
+    return (good_count if good else total - good_count), total
 
 
-def good_ksubset_fraction(g: Permutation, k: int, m: int, r: int):
-    """Exact fraction of k-subsets with orbit length r0*m, r0 | r (Fraction)."""
-    from fractions import Fraction
-
-    total = math.comb(g.n, k)
-    lengths = _orbit_length_counts(g, k)
-    good_count = sum(
-        cnt for length, cnt in lengths.items() if length % m == 0 and r % (length // m) == 0
-    )
-    return Fraction(good_count, total)
+def good_ksubset_fraction(g: Permutation, k: int, m: int, r: int) -> Fraction:
+    """Exact fraction of k-subsets with orbit length r0*m, r0 | r."""
+    counts = orbit_length_counts(g.cycle_type(), k, r * m)
+    good_count = sum(cnt for length, cnt in counts.items() if length % m == 0)
+    return Fraction(good_count, math.comb(g.n, k))
 
 
-def _orbit_length_counts(g: Permutation, k: int) -> dict[int, int]:
-    """Multiset {orbit length: number of k-subsets}, by per-cycle periods.
+def orbit_length_counts(cycle_lengths: Sequence[int], k: int, rm: int) -> dict[int, int]:
+    """{L: number of k-subsets with orbit length L} over the divisors L of rm,
+    for a permutation with the given cycle lengths.  Subsets whose orbit
+    length does not divide rm are not counted.
 
-    For each g-cycle of length t, the number of j-subsets of the cycle with
-    rotation period exactly d (d | t) follows from inclusion over divisors:
-    a j-subset has period dividing d iff d | t, j*d % t == 0, giving
-    C(d, j*d//t) choices.  Combine cycles by convolving on (size used is
-    implicit) the lcm of periods, tracking counts per lcm value.
+    The orbit length is the lcm of the rotation periods on the cycles, so it
+    divides rm only if every period d divides gcd(t, rm); the DP over
+    (points used, running lcm) therefore stays on the divisors of rm.
     """
-    per_cycle: list[dict[int, dict[int, int]]] = []
-    for cyc in g.cycles():
-        t = len(cyc)
-        divs = sorted(_divisors(t))
-        # at_most[d][j] = number of j-subsets with period dividing d
-        at_most = {d: {} for d in divs}
-        for d in divs:
-            for j in range(0, t + 1):
-                if j * d % t == 0:
-                    at_most[d][j] = math.comb(d, j * d // t)
-        exact: dict[int, dict[int, int]] = {d: {} for d in divs}
-        for d in divs:
-            for j, cnt in at_most[d].items():
-                sub = sum(
-                    exact[e].get(j, 0) for e in divs if e < d and d % e == 0
-                )
-                val = cnt - sub
-                if val:
-                    exact[d][j] = val
-        per_cycle.append(exact)
-
-    # state: {(points used, running lcm): count}
     state: dict[tuple[int, int], int] = {(0, 1): 1}
-    for exact in per_cycle:
+    left = sum(cycle_lengths)
+    tables: dict[int, list] = {}  # per cycle length; fixed points repeat
+    for t in cycle_lengths:
+        left -= t
+        if t not in tables:
+            tables[t] = _period_counts(t, math.gcd(t, rm), k)
         nxt: dict[tuple[int, int], int] = {}
-        for (used, cur_lcm), cnt in state.items():
-            for d, by_j in exact.items():
-                for j, ways in by_j.items():
-                    if used + j > k:
+        for (used, cur), cnt in state.items():
+            for d, by_j in tables[t]:
+                length = cur * d // math.gcd(cur, d)
+                for j, ways in by_j:
+                    u = used + j
+                    if u > k:
+                        break
+                    if u + left < k:  # too few points left to reach k
                         continue
-                    key = (used + j, math.lcm(cur_lcm, d) if j else cur_lcm)
+                    key = (u, length)
                     nxt[key] = nxt.get(key, 0) + cnt * ways
         state = nxt
-    out: dict[int, int] = {}
-    for (used, length), cnt in state.items():
-        if used == k:
-            out[length] = out.get(length, 0) + cnt
-    return out
+    return {length: cnt for (used, length), cnt in state.items() if used == k}
 
 
-def _divisors(x: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= x:
-        if x % i == 0:
-            out.append(i)
-            if i != x // i:
-                out.append(x // i)
-        i += 1
-    return out
+def _period_counts(t: int, g: int, k: int) -> list[tuple[int, list[tuple[int, int]]]]:
+    """[(d, [(j, count), ...])] for each d | g: the number of j-subsets
+    (j <= k, increasing) of a t-cycle with rotation period exactly d.
+
+    A j-subset has period dividing d iff it is a union of c = j*d/t orbits of
+    the rotation by d, which gives C(d, c) of them; subtracting the counts of
+    the proper divisors of d leaves period exactly d.
+    """
+    divs = sorted(_divisors(g))
+    exact: dict[int, dict[int, int]] = {}
+    for d in divs:
+        step = t // d
+        row = {c * step: math.comb(d, c) for c in range(min(d, k // step) + 1)}
+        for e in divs:
+            if e >= d:
+                break
+            if d % e == 0:
+                for j, ways in exact[e].items():
+                    row[j] -= ways
+        exact[d] = {j: ways for j, ways in row.items() if ways}
+    return [(d, sorted(row.items())) for d, row in exact.items() if row]

@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable
 
 from . import algorithms, families, ksets, perms
@@ -32,11 +33,10 @@ class ExperimentConfig:
     s: Fraction = Fraction(5, 8)
     delta: Fraction = Fraction(1, 24)
     eps: float = 0.1
-    mode: str = "conditional"  # conditional | findmcycle | family-census | exact-oracle
+    mode: str = "conditional"  # conditional | findmcycle
     trials: int = 10**4
     seed: int = 0
     workers: int = 1
-    budget: int = ksets.DEFAULT_ENUMERATION_BUDGET
     condition: str = "none"  # none | ngood
 
     def line(self) -> LineParams:
@@ -61,6 +61,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.mode not in ("conditional", "findmcycle"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.condition not in ("none", "ngood"):
+            raise ValueError(f"unknown condition {self.condition!r}")
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -321,11 +325,23 @@ def exact_conditional(
     """Exact acceptance probabilities by summing over conjugacy classes:
     for an element g, the per-point pass chance pi_g is the fraction of
     k-subsets with orbit length r0*m (r0 | r), and Prob(accept) = pi_g^M;
-    both are class functions."""
+    both are class functions.
+
+    The cost grows with the number of cycle types summed (the even ones for
+    Alt), which may be at most budget // 10**3: at the default budget, n <= 32
+    for Sym and n <= 36 for Alt.
+    """
     n, m, r = params.n, params.m, params.r
-    if math.comb(n, k) * math.factorial(n) > budget * 10**3:
-        raise ValueError("cell too large for the exact oracle budget")
-    parity_even = lambda parts: (n - len(parts)) % 2 == 0
+    limit = budget // 10**3
+    summed = (
+        parts for parts in _partitions(n)
+        if params.group == perms.SYM or (n - len(parts)) % 2 == 0
+    )
+    types = list(islice(summed, limit + 1))  # never lists more than needed to refuse
+    if len(types) > limit:
+        raise ValueError(
+            f"cell too large for the exact oracle budget: more than {limit} conjugacy classes"
+        )
     group_order = math.factorial(n) // (1 if params.group == perms.SYM else 2)
 
     total_accept = Fraction(0)
@@ -335,9 +351,7 @@ def exact_conditional(
     ngood_size = 0
     accept_by_family: dict[str, Fraction] = {}
 
-    for parts in _partitions(n):
-        if params.group == perms.ALT and not parity_even(parts):
-            continue
+    for parts in types:
         size = _class_size(n, parts)
         g = _canonical_of_type(n, parts)
         pi = ksets.good_ksubset_fraction(g, k, m, r)

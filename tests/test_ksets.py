@@ -4,8 +4,10 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ksettrace import families, ksets, perms
+from ksettrace import families, ksets, montecarlo, perms
 from ksettrace.ksets import EXCEEDS_CAP, KSubset
 from ksettrace.perms import SYM, Permutation
 
@@ -197,3 +199,94 @@ class TestCountBad:
                 for k in (2, 3):
                     bad, total = ksets.count_bad_ksubsets(g, lp, k)
                     assert 1 - bad / total >= 1 - 2 / n
+
+
+def reference_orbit_length_counts(g, k):
+    """{orbit length: number of k-subsets} over every orbit length: the
+    full-lcm DP that `ksets.orbit_length_counts` replaced, kept as its
+    reference."""
+    per_cycle = []
+    for cyc in g.cycles():
+        t = len(cyc)
+        divs = sorted(families.divisors(t))
+        at_most = {d: {} for d in divs}
+        for d in divs:
+            for j in range(0, t + 1):
+                if j * d % t == 0:
+                    at_most[d][j] = math.comb(d, j * d // t)
+        exact = {d: {} for d in divs}
+        for d in divs:
+            for j, cnt in at_most[d].items():
+                sub = sum(exact[e].get(j, 0) for e in divs if e < d and d % e == 0)
+                if cnt - sub:
+                    exact[d][j] = cnt - sub
+        per_cycle.append(exact)
+    state = {(0, 1): 1}
+    for exact in per_cycle:
+        nxt = {}
+        for (used, cur_lcm), cnt in state.items():
+            for d, by_j in exact.items():
+                for j, ways in by_j.items():
+                    if used + j > k:
+                        continue
+                    key = (used + j, math.lcm(cur_lcm, d) if j else cur_lcm)
+                    nxt[key] = nxt.get(key, 0) + cnt * ways
+        state = nxt
+    out = {}
+    for (used, length), cnt in state.items():
+        if used == k:
+            out[length] = out.get(length, 0) + cnt
+    return out
+
+
+def line_element(data, line, ns):
+    """A line's params at a drawn n, and a uniform element of its group or a
+    uniform element of N_good (where the accepted orbit lengths live)."""
+    lp = families.line_params_by_line(line, data.draw(st.sampled_from(ns), label="n"))
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    if data.draw(st.booleans(), label="ngood"):
+        return lp, montecarlo.sample_ngood(lp, rng)
+    return lp, perms.random_element(lp.group, lp.n, rng)
+
+
+def admissible(line, ns):
+    out = []
+    for n in ns:
+        try:
+            families.line_params_by_line(line, n)
+        except ValueError:
+            continue
+        out.append(n)
+    return out
+
+
+class TestCountingKernel:
+    @pytest.mark.parametrize("line", range(1, 10))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_matches_enumeration(self, line, data):
+        # line 8 needs 6 | n, so it takes n = 12, its smallest n >= 7
+        lp, g = line_element(data, line, admissible(line, range(7, 11)) or [12])
+        rm = lp.r * lp.m
+        for k in range(1, lp.n + 1):
+            brute = Counter(
+                ksets.cycle_length_exact(gamma, g) for gamma in ksets.all_ksubsets(lp.n, k)
+            )
+            expected = {length: cnt for length, cnt in brute.items() if rm % length == 0}
+            assert ksets.orbit_length_counts(g.cycle_type(), k, rm) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), line=st.integers(1, 9))
+    def test_matches_full_lcm_dp(self, data, line):
+        lp, g = line_element(data, line, admissible(line, range(7, 81)))
+        k = data.draw(st.integers(1, lp.n), label="k")
+        rm = data.draw(st.one_of(st.just(lp.r * lp.m), st.integers(1, 4 * lp.n)), label="rm")
+        full = reference_orbit_length_counts(g, k)
+        assert sum(full.values()) == math.comb(lp.n, k)
+        expected = {length: cnt for length, cnt in full.items() if rm % length == 0}
+        assert ksets.orbit_length_counts(g.cycle_type(), k, rm) == expected
+        good = sum(
+            cnt for length, cnt in full.items()
+            if length % lp.m == 0 and lp.r % (length // lp.m) == 0
+        )
+        assert ksets.good_ksubset_fraction(g, k, lp.m, lp.r) == Fraction(good, math.comb(lp.n, k))

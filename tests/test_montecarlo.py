@@ -125,6 +125,20 @@ class TestExactConditional:
         assert 0 <= ex.accept <= 1
         assert 0 <= ex.n_given_accept <= 1
 
+    @pytest.mark.parametrize("line, n, k", [(3, 12, 6), (1, 20, 10)])
+    def test_identity_beyond_old_gate(self, line, n, k):
+        # cells the former C(n,k)*n! gate refused: 77 and 627 classes
+        lp = families.line_params_by_line(line, n)
+        ex = exact_conditional(lp, k, 4)
+        m = lp.m
+        assert ex.p == lp.rho / m * ex.p1 + (m - lp.rho) / Fraction(m) * ex.p2
+
+    def test_gate_counts_classes(self):
+        lp = families.line_params_by_line(1, 7)  # 15 cycle types
+        assert exact_conditional(lp, 2, 4, budget=15 * 10**3).accept > 0
+        with pytest.raises(ValueError, match="too large"):
+            exact_conditional(lp, 2, 4, budget=14 * 10**3)
+
 
 class TestSmallV:
     def test_v0(self):
@@ -195,6 +209,11 @@ class TestConfig:
             cfg(k=30).validate()  # k > n/2
         with pytest.raises(ValueError):
             cfg(trials=0).validate()
+
+    @pytest.mark.parametrize("field, value", [("mode", "exact-oracle"), ("condition", "ngod")])
+    def test_rejects_unknown_choice(self, field, value):
+        with pytest.raises(ValueError, match=f"unknown {field}"):
+            cfg(**{field: value}).validate()
 
     def test_hash_stable(self):
         assert cfg().config_hash() == cfg().config_hash()
