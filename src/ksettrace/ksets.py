@@ -10,6 +10,7 @@ rm; the exact pass fraction pi_g (`good_ksubset_fraction`),
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -56,10 +57,17 @@ class KSubset:
         object.__setattr__(self, "points", pts)
         if not 1 <= len(pts) <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={len(pts)}, n={self.n}")
-        if any(not 0 <= x < self.n for x in pts):
-            raise ValueError(f"points {pts!r} out of range for n={self.n}")
+        if any(isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < self.n for x in pts):
+            raise ValueError(f"points {pts!r} are not integers in 0..{self.n - 1}")
         if any(a >= b for a, b in zip(pts, pts[1:])):
             raise ValueError(f"points {pts!r} not strictly increasing")
+
+    @classmethod
+    def _trusted(cls, n: int, points: tuple[int, ...]) -> "KSubset":
+        """Unchecked, for 1 <= k <= n increasing points of 0..n-1 by construction."""
+        s = object.__new__(cls)
+        s.__dict__.update(n=n, points=points)
+        return s
 
     @property
     def k(self) -> int:
@@ -91,7 +99,7 @@ def image(gamma: KSubset, g: Permutation) -> KSubset:
         raise DegreeMismatchError(
             f"subset degree {gamma.n} does not match permutation degree {g.n}"
         )
-    return KSubset(gamma.n, tuple(sorted(g.images[x] for x in gamma.points)))
+    return KSubset._trusted(gamma.n, tuple(sorted([g.images[x] for x in gamma.points])))
 
 
 def cycle_length_trace(gamma: KSubset, g: Permutation, cap: int):
@@ -116,12 +124,15 @@ def rotation_period(cycle_length: int, positions) -> int:
 
     Checks divisors in increasing order; empty and full sets give 1.
     """
-    t = cycle_length
     pos = frozenset(positions)
-    if any(not 0 <= x < t for x in pos):
+    if any(not 0 <= x < cycle_length for x in pos):
         raise ValueError("positions must be residues mod cycle_length")
+    return _rotation_period(cycle_length, pos)
+
+
+def _rotation_period(t: int, pos: frozenset[int]) -> int:
     kc = len(pos)
-    for d in sorted(_divisors(t)):
+    for d in sorted(_divisors(t))[:-1]:  # every set has period t
         # a d-periodic set must distribute evenly over the t//d shift-classes
         if kc * d % t != 0:
             continue
@@ -136,15 +147,14 @@ def cycle_length_exact(gamma: KSubset, g: Permutation) -> int:
         raise DegreeMismatchError(
             f"subset degree {gamma.n} does not match permutation degree {g.n}"
         )
-    pts = set(gamma.points)
+    cycles = g.cycles()  # g's first call walks it and fills the index and position maps
+    index, position = g._cycle_index, g._position
+    hits = defaultdict(list)  # cycle index -> positions of the subset's points on it
+    for p in gamma.points:
+        hits[index[p]].append(position[p])
     result = 1
-    for cyc in g.cycles():
-        hits = pts.intersection(cyc)
-        if not hits:
-            continue
-        index = {pt: i for i, pt in enumerate(cyc)}
-        period = rotation_period(len(cyc), {index[p] for p in hits})
-        result = math.lcm(result, period)
+    for c, positions in hits.items():
+        result = math.lcm(result, _rotation_period(len(cycles[c]), frozenset(positions)))
     return result
 
 
@@ -152,7 +162,7 @@ def random_ksubset(n: int, k: int, rng) -> KSubset:
     """Uniform k-subset of {0..n-1} via partial shuffle."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return KSubset(n, tuple(sorted(rng.sample(range(n), k))))
+    return KSubset._trusted(n, tuple(sorted(rng.sample(range(n), k))))
 
 
 def all_ksubsets(n: int, k: int) -> Iterable[KSubset]:

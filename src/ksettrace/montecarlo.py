@@ -184,7 +184,7 @@ def sample_ngood(params: LineParams, rng) -> perms.Permutation:
         rng.shuffle(shuffled)
         for a, b in zip(rest, shuffled):
             images[a] = b
-        g = perms.Permutation(images)
+        g = perms.Permutation._trusted(images)
         if not g.order_divides(rm):
             continue
         if params.group == perms.ALT and not g.is_even():
@@ -299,7 +299,7 @@ def _canonical_of_type(n: int, parts: tuple[int, ...]) -> perms.Permutation:
         for a, b in zip(block, block[1:] + block[:1]):
             images[a] = b
         start += p
-    return perms.Permutation(images)
+    return perms.Permutation._trusted(images)
 
 
 @dataclass(frozen=True)

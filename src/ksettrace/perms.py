@@ -16,9 +16,11 @@ class DegreeMismatchError(ValueError):
 
 
 class Permutation:
-    """A permutation of {0..n-1}, stored as a tuple of images."""
+    """A permutation of {0..n-1}, stored as a tuple of images.  Being
+    immutable, it keeps the cycle profile its first `cycles()` call walks:
+    the cycles, and each point's cycle index and position in that cycle."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_cycles", "_cycle_index", "_position")
 
     def __init__(self, images: Sequence[int]):
         imgs = tuple(images)
@@ -27,13 +29,24 @@ class Permutation:
             raise ValueError("degree must be at least 1")
         seen = [False] * n
         for x in imgs:
-            if not isinstance(x, int) or not 0 <= x < n or seen[x]:
+            if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n or seen[x]:
                 raise ValueError(f"images {imgs!r} are not a bijection on 0..{n - 1}")
             seen[x] = True
         object.__setattr__(self, "images", imgs)
 
+    @classmethod
+    def _trusted(cls, images: Sequence[int]) -> "Permutation":
+        """Unchecked, for images that are a bijection on 0..n-1 by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", tuple(images))
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the checking constructor; the cycle profile is not sent
+        return Permutation, (self.images,)
 
     @property
     def n(self) -> int:
@@ -123,7 +136,7 @@ class Permutation:
                 f"cannot compose degree {self.n} with degree {other.n}"
             )
         oi = other.images
-        return Permutation([oi[x] for x in self.images])
+        return Permutation._trusted([oi[x] for x in self.images])
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         return self.compose(other)
@@ -132,26 +145,38 @@ class Permutation:
         inv = [0] * self.n
         for i, x in enumerate(self.images):
             inv[x] = i
-        return Permutation(inv)
+        return Permutation._trusted(inv)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles covering all points, sorted by minimum element.
 
-        Each cycle starts at its minimum and follows images.
+        Each cycle starts at its minimum and follows images.  The walk runs
+        once per permutation; every call returns a fresh list.
         """
-        seen = [False] * self.n
+        cached = getattr(self, "_cycles", None)
+        if cached is not None:
+            return list(cached)
+        imgs = self.images
+        n = len(imgs)
+        index = [-1] * n
+        position = [0] * n
         out = []
-        for start in range(self.n):
-            if seen[start]:
+        for start in range(n):
+            if index[start] >= 0:
                 continue
+            c = len(out)
             cyc = [start]
-            seen[start] = True
-            x = self.images[start]
+            x = imgs[start]
             while x != start:
                 cyc.append(x)
-                seen[x] = True
-                x = self.images[x]
+                x = imgs[x]
+            for i, x in enumerate(cyc):
+                position[x] = i
+                index[x] = c
             out.append(tuple(cyc))
+        object.__setattr__(self, "_cycles", tuple(out))
+        object.__setattr__(self, "_cycle_index", index)
+        object.__setattr__(self, "_position", position)
         return out
 
     def cycle_type(self) -> tuple[int, ...]:
@@ -159,16 +184,14 @@ class Permutation:
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
     def __pow__(self, e: int) -> "Permutation":
-        """p^e via per-cycle index shifts: O(n) for any exponent size."""
-        if e < 0:
-            return self.inverse() ** (-e)
+        """p^e via per-cycle index shifts: O(n) for any exponent size, any sign."""
         images = [0] * self.n
         for cyc in self.cycles():
             t = len(cyc)
             shift = e % t
             for i, pt in enumerate(cyc):
                 images[pt] = cyc[(i + shift) % t]
-        return Permutation(images)
+        return Permutation._trusted(images)
 
     def order(self) -> int:
         """lcm of the cycle lengths."""
@@ -182,36 +205,10 @@ class Permutation:
 
     def parity(self) -> str:
         """'even' or 'odd'; even iff n minus the number of cycles is even."""
-        return "even" if (self.n - len(self.cycles())) % 2 == 0 else "odd"
+        return "even" if self.is_even() else "odd"
 
     def is_even(self) -> bool:
-        return self.parity() == "even"
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    return p.compose(q)
-
-
-def power(p: Permutation, e: int) -> Permutation:
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    return p**e
-
-
-def cycle_decomposition(p: Permutation) -> list[tuple[int, ...]]:
-    return p.cycles()
-
-
-def order(p: Permutation) -> int:
-    return p.order()
-
-
-def order_divides(p: Permutation, t: int) -> bool:
-    return p.order_divides(t)
-
-
-def parity(p: Permutation) -> str:
-    return p.parity()
+        return (self.n - len(self.cycles())) % 2 == 0
 
 
 SYM = "Sym"
@@ -229,14 +226,15 @@ def random_element(group: str, n: int, rng) -> Permutation:
     """
     if group not in (SYM, ALT):
         raise ValueError(f"unknown group {group!r}")
-    if group == ALT and n < 2:
-        raise ValueError("Alt requires n >= 2")
+    least = 2 if group == ALT else 1
+    if n < least:
+        raise ValueError(f"{group} requires n >= {least}")
     images = list(range(n))
     rng.shuffle(images)
-    p = Permutation(images)
+    p = Permutation._trusted(images)
     if group == ALT and not p.is_even():
         images[0], images[1] = images[1], images[0]
-        p = Permutation(images)
+        p = Permutation._trusted(images)
     return p
 
 

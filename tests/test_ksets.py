@@ -25,6 +25,11 @@ class TestKSubset:
         with pytest.raises(ValueError):
             KSubset(5, ())  # empty
 
+    def test_non_integer_points_rejected(self):
+        for points in [(False, True), (0, True), (0.0, 1)]:
+            with pytest.raises(ValueError):
+                KSubset(3, points)
+
     def test_text_roundtrip(self):
         gamma = KSubset.of(8, [0, 3, 6])
         assert str(gamma) == "{1,4,7}"
@@ -239,14 +244,18 @@ def reference_orbit_length_counts(g, k):
     return out
 
 
-def line_element(data, line, ns):
-    """A line's params at a drawn n, and a uniform element of its group or a
+def line_elements(data, line, ns):
+    """A line's params at a drawn n, a uniform element of its group and a
     uniform element of N_good (where the accepted orbit lengths live)."""
     lp = families.line_params_by_line(line, data.draw(st.sampled_from(ns), label="n"))
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-    if data.draw(st.booleans(), label="ngood"):
-        return lp, montecarlo.sample_ngood(lp, rng)
-    return lp, perms.random_element(lp.group, lp.n, rng)
+    return lp, perms.random_element(lp.group, lp.n, rng), montecarlo.sample_ngood(lp, rng)
+
+
+def line_element(data, line, ns):
+    """A line's params at a drawn n, and one of `line_elements`' two elements."""
+    lp, uniform, ngood = line_elements(data, line, ns)
+    return lp, ngood if data.draw(st.booleans(), label="ngood") else uniform
 
 
 def admissible(line, ns):
@@ -260,13 +269,17 @@ def admissible(line, ns):
     return out
 
 
+def small_ns(line):
+    # line 8 needs 6 | n, so it takes n = 12, its smallest n >= 7
+    return admissible(line, range(7, 11)) or [12]
+
+
 class TestCountingKernel:
     @pytest.mark.parametrize("line", range(1, 10))
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
     def test_matches_enumeration(self, line, data):
-        # line 8 needs 6 | n, so it takes n = 12, its smallest n >= 7
-        lp, g = line_element(data, line, admissible(line, range(7, 11)) or [12])
+        lp, g = line_element(data, line, small_ns(line))
         rm = lp.r * lp.m
         for k in range(1, lp.n + 1):
             brute = Counter(
@@ -290,3 +303,51 @@ class TestCountingKernel:
             if length % lp.m == 0 and lp.r % (length // lp.m) == 0
         )
         assert ksets.good_ksubset_fraction(g, k, lp.m, lp.r) == Fraction(good, math.comb(lp.n, k))
+
+
+class TestFastPaths:
+    """The cached cycle profile and the unchecked constructors against the
+    slow paths they replace, on uniform and N_good elements of every line."""
+
+    @pytest.mark.parametrize("line", range(1, 10))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_profile_matches_fresh_walk(self, line, data):
+        lp, *elements = line_elements(data, line, small_ns(line))
+        rm = lp.r * lp.m
+        for g in elements:
+            fresh = Permutation(list(g.images))
+            first = g.cycles()
+            assert first == fresh.cycles()
+            assert g.order() == fresh.order()
+            assert g.is_even() == fresh.is_even()
+            assert g.order_divides(rm) == fresh.order_divides(rm)
+            first.append(first.pop(0)[::-1])
+            assert g.cycles() == fresh.cycles()
+            for p in range(lp.n):
+                assert g.cycles()[g._cycle_index[p]][g._position[p]] == p
+
+    @pytest.mark.parametrize("line", range(1, 10))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_exact_matches_trace(self, line, data):
+        lp, *elements = line_elements(data, line, small_ns(line))
+        for g in elements:
+            order = g.order()
+            for k in range(1, lp.n + 1):
+                for gamma in ksets.all_ksubsets(lp.n, k):
+                    exact = ksets.cycle_length_exact(gamma, g)
+                    assert exact == ksets.cycle_length_trace(gamma, g, order)
+
+    @pytest.mark.parametrize("line", range(1, 10))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_unchecked_outputs_pass_the_checks(self, line, data):
+        lp, g, h = line_elements(data, line, small_ns(line))
+        e = data.draw(st.integers(-2 * lp.n, 2 * lp.n), label="e")
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        gamma = ksets.random_ksubset(lp.n, data.draw(st.integers(1, lp.n), label="k"), rng)
+        for p in (g, h, g.compose(h), h * g, g.inverse(), g**e, h**e):
+            assert Permutation(p.images) == p
+        for s in (gamma, ksets.image(gamma, g), ksets.image(gamma, h)):
+            assert KSubset(lp.n, s.points) == s

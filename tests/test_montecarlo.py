@@ -119,6 +119,13 @@ class TestExactConditional:
             total += pi**3
         assert ex.accept == total / math.factorial(7)
 
+    def test_class_representatives(self):
+        for n in range(1, 9):
+            for parts in montecarlo._partitions(n):
+                g = montecarlo._canonical_of_type(n, parts)
+                assert perms.Permutation(g.images) == g
+                assert g.cycle_type() == parts
+
     def test_alt_group(self):
         lp = families.line_params(ALT, 8, families.THREE_CYCLE)
         ex = exact_conditional(lp, 2, 4)

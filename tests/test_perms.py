@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -44,6 +46,19 @@ class TestBasics:
         with pytest.raises(ValueError):
             Permutation([0, 0, 1])
 
+    def test_bool_images_rejected(self):
+        for images in [[True, False], [0, True]]:
+            with pytest.raises(ValueError):
+                Permutation(images)
+
+    def test_pickle_and_copy(self):
+        p = rand_perm(9, 4)
+        p.cycles()  # fills the cache, which must not travel
+        assert p.__reduce__() == (Permutation, (p.images,))
+        for q in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert q == p and q is not p
+            assert q.cycles() == p.cycles()
+
 
 class TestPower:
     def test_power_zero(self):
@@ -64,7 +79,7 @@ class TestPower:
         e = 10**30
         assert p**e == p ** (e % 15)
 
-    @given(perm_strategy, st.integers(0, 50), st.integers(0, 50))
+    @given(perm_strategy, st.integers(-50, 50), st.integers(-50, 50))
     def test_power_additive(self, p, e1, e2):
         assert p ** (e1 + e2) == (p**e1).compose(p**e2)
 
@@ -150,6 +165,11 @@ class TestSampling:
         expected = draws / 12
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < 11 + 4 * math.sqrt(22)
+
+    def test_degree_checked(self):
+        for group, n in [(SYM, 0), (ALT, 1)]:
+            with pytest.raises(ValueError):
+                perms.random_element(group, n, random.Random(0))
 
     def test_reproducible(self):
         a = [perms.random_element(SYM, 10, random.Random(9)) for _ in range(20)]
