@@ -3,7 +3,7 @@ with exact combinatorial oracles, explicit probability bounds, and a
 Monte Carlo experiment harness."""
 
 from .families import LineParams, line_params
-from .ksets import EXCEEDS_CAP, KSubset, cycle_length_exact, cycle_length_trace
+from .ksets import EXCEEDS_CAP, KSubset, cycle_length_exact
 from .perms import ALT, SYM, Permutation
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "KSubset",
     "LineParams",
     "line_params",
-    "cycle_length_trace",
     "cycle_length_exact",
     "EXCEEDS_CAP",
     "SYM",

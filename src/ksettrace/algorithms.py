@@ -111,13 +111,17 @@ class Transcript:
         ]
 
 
-def _orbit_length(oracle: GroupOracle, point, element, cap: int):
-    cur = oracle.act(point, element)
+def orbit_length(act: Callable[[Any, Any], Any], point, element, cap: int):
+    """Smallest t >= 1 with point fixed by element^t, found by applying
+    ``act(point, element)`` at most cap times; EXCEEDS_CAP if t > cap."""
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    cur = act(point, element)
     t = 1
     while cur != point:
         if t >= cap:
             return ksets.EXCEEDS_CAP
-        cur = oracle.act(cur, element)
+        cur = act(cur, element)
         t += 1
     return t
 
@@ -146,7 +150,7 @@ def trace_cycle(
         if not accepted:
             per_point.append((pt, None, None))
             continue
-        length = _orbit_length(oracle, pt, element, cap)
+        length = orbit_length(oracle.act, pt, element, cap)
         matched = None
         if length is not ksets.EXCEEDS_CAP and length % m == 0 and r % (length // m) == 0:
             matched = length // m

@@ -2,7 +2,8 @@
 constant c_delta, the derived constants a_delta, ell, b_M, the n-threshold
 predicate, and the per-family probability bound functions.
 
-All real evaluation is done in mpmath at >= 50 significant digits; rational
+All real evaluation is done in mpmath at 60 significant digits, set per call
+by `mpmath.workdps`, so the caller's precision is left alone; rational
 quantities stay exact.
 """
 
@@ -14,10 +15,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .combinatorics import trial_count  # re-exported; ceil(ln(1/eps)/p)
+from .combinatorics import _mpf, trial_count  # trial_count re-exported; ceil(ln(1/eps)/p)
 from .families import LineParams, d_count
-
-mpmath.mp.dps = 60
 
 __all__ = [
     "BoundParams",
@@ -31,12 +30,6 @@ __all__ = [
     "family_bounds",
     "trial_count",
 ]
-
-
-def _mpf(x) -> mpmath.mpf:
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    return mpmath.mpf(x)
 
 
 @dataclass(frozen=True)
@@ -100,6 +93,7 @@ def validate_params(M: int, s: Fraction, delta: Fraction) -> dict:
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+@mpmath.workdps(60)
 def c_delta_search(delta: Fraction, x_limit: int = 10**9) -> tuple[float, int]:
     """Certified lower bound on sup d(x)/x^delta: the max of the ratio over
     integers up to x_limit with non-increasing prime-exponent signature
@@ -132,6 +126,7 @@ def c_delta_search(delta: Fraction, x_limit: int = 10**9) -> tuple[float, int]:
     return float(best[0]), best[1]
 
 
+@mpmath.workdps(60)
 def a_delta_eval(
     c_delta: float,
     s: Fraction,
@@ -164,6 +159,7 @@ def a_delta_eval(
     return {"value": float(val), "variant": variant, "condition_rm_large_enough": None}
 
 
+@mpmath.workdps(60)
 def b_M_eval(
     M: int,
     s: Fraction,
@@ -189,6 +185,7 @@ def b_M_eval(
     return float(val)
 
 
+@mpmath.workdps(60)
 def n_satisfies(n: int, s: Fraction, r: int, ell: Fraction, b_M: float, eps: float) -> dict:
     """Truth values of the three n-constraints: 12(rn)^s + 6 <= n,
     (rn)^s log n <= n, and n >= (10 b_M / eps)^(1/(ell-1)).
@@ -215,12 +212,14 @@ def _threshold_iv(ell: Fraction, b_M: float, eps: float):
     return base ** mpmath.iv.mpf(expo)
 
 
+@mpmath.workdps(60)
 def n_threshold(ell: Fraction, b_M: float, eps: float) -> float:
     """log10 of (10 b_M / eps)^(1/(ell-1)), the third constraint's cutoff."""
     val = (10 * mpmath.mpf(b_M) / mpmath.mpf(eps)) ** (1 / _mpf(Fraction(ell) - 1))
     return float(mpmath.log10(val))
 
 
+@mpmath.workdps(60)
 def family_bounds(
     n: int,
     k: int,

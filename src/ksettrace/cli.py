@@ -101,7 +101,7 @@ def cmd_trace(args, out) -> int:
     g = perms.Permutation.parse(str(merged["perm"]), n=n)
     gamma = ksets.KSubset.parse(str(merged["subset"]), n=n)
     _echo(merged, out)
-    traced = ksets.cycle_length_trace(gamma, g, cap)
+    traced = algorithms.orbit_length(ksets.image, gamma, g, cap)
     exact = ksets.cycle_length_exact(gamma, g)
     print(f"traced: {traced}", file=out)
     print(f"exact: {exact}", file=out)
@@ -184,7 +184,7 @@ def cmd_experiment(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    keys = {"suite", "exhaustive"}
+    keys = {"suite"}
     merged = _merge(args, keys)
     suite = str(merged.get("suite", "all"))
     _echo(merged, out)
@@ -218,7 +218,7 @@ def cmd_verify(args, out) -> int:
                     emit(combinatorics.Verdict("npk", cnt, (b1, b2, b3), ok), sizes, k0)
     if suite in ("sigma", "all"):
         for t in range(2, 21):
-            for p in set(_prime_factors(t)):
+            for p in families.prime_divisors(t):
                 for k0 in range(1, t + 1):
                     closed = combinatorics.sigma_cycle(t, k0, p)
                     brute = combinatorics.sigma_cycle_brute(t, k0, p)
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
          "--trials": {"type": int}, "--seed": {"type": int},
          "--workers": {"type": int}, "--condition": {}},
     )
-    add("verify", cmd_verify, {"--suite": {}, "--exhaustive": {"action": "store_true", "default": None}})
+    add("verify", cmd_verify, {"--suite": {}})
     add(
         "bounds",
         cmd_bounds,
@@ -343,19 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add("oracle", cmd_oracle, {**line_flags, "--k": {"type": int}, "--M": {"type": int}, "--what": {}})
     return parser
-
-
-def _prime_factors(x: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= x:
-        while x % d == 0:
-            out.append(d)
-            x //= d
-        d += 1
-    if x > 1:
-        out.append(x)
-    return out
 
 
 def main(argv=None) -> int:

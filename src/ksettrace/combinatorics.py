@@ -13,9 +13,8 @@ from typing import Sequence
 
 import mpmath
 
+from .families import partitions
 from .ksets import orbit_length_counts
-
-mpmath.mp.dps = 60
 
 
 @dataclass(frozen=True)
@@ -112,14 +111,6 @@ def sigma_cycle_brute(t: int, k0: int, p: int) -> int:
     return count
 
 
-def _t_part(t: int, p: int) -> int:
-    tp = 1
-    while t % p == 0:
-        t //= p
-        tp *= p
-    return tp
-
-
 def sigma_Sigma(
     cycle_lengths: Sequence[int],
     rm: int,
@@ -149,6 +140,7 @@ def _mpf(x) -> mpmath.mpf:
     return mpmath.mpf(x)
 
 
+@mpmath.workdps(60)
 def check_inequality(lemma_id: str, **args) -> Verdict:
     """Dispatch for the numeric lemmas.  Exact rationals where possible,
     interval arithmetic (directed rounding) where exponents are irrational,
@@ -247,6 +239,7 @@ def _check_eps(eps: Fraction, p: Fraction) -> Verdict:
     return Verdict("lem:eps", lhs, rhs, lhs.b <= rhs.a or (1 - p) ** N <= eps)
 
 
+@mpmath.workdps(60)
 def trial_count(eps: Fraction, p: Fraction) -> int:
     """ceil(ln(1/eps)/p), certified by interval arithmetic at the boundary."""
     eps, p = Fraction(eps), Fraction(p)
@@ -276,18 +269,4 @@ LEMMA_IDS = tuple(_CHECKERS)
 
 def partitions_with_min_part(u: int, min_part: int = 2) -> list[tuple[int, ...]]:
     """All partitions of u into parts >= min_part, non-decreasing order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, smallest: int, acc: list[int]):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(smallest, remaining + 1):
-            if remaining - part != 0 and remaining - part < smallest:
-                continue
-            acc.append(part)
-            rec(remaining - part, part, acc)
-            acc.pop()
-
-    rec(u, min_part, [])
-    return out
+    return list(partitions(u, range(min_part, u + 1)))

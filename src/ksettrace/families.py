@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as _itertools_permutations
 
-from .perms import ALT, SYM, Permutation, enumerate_group
+from .perms import ALT, SYM, Permutation
 
 LONG_CYCLE = "long-cycle"
 TRANSPOSITION = "transposition"
@@ -112,31 +112,15 @@ def exact_rho(group: str, n: int, m: int, r: int) -> Fraction:
 
     The cycle types in N_good are m together with a partition of the other
     n - m points into parts dividing rm (Alt keeps only the even types), and
-    a type with z = prod t^c_t c_t! is hit by n!/z elements, so rho is m
-    times the sum of 1/z, doubled for Alt since |Alt(n)| = n!/2.  Each type
-    of N_good arises once this way, also when m <= n - m.
+    a type is hit by n!/z elements (`centralizer_order`), so rho is m times
+    the sum of 1/z, doubled for Alt since |Alt(n)| = n!/2.  Each type of
+    N_good arises once this way, also when m <= n - m.
     """
-    parts = sorted((d for d in _divisors(r * m) if d <= n - m), reverse=True)
-
-    def rest_types(rest: int, i: int):
-        if rest == 0:
-            yield []
-            return
-        for j in range(i, len(parts)):
-            if parts[j] <= rest:
-                for tail in rest_types(rest - parts[j], j):
-                    yield [parts[j], *tail]
-
     total = Fraction(0)
-    for cycle_type in rest_types(n - m, 0):
-        cycle_type.append(m)
-        if group == ALT and (n - len(cycle_type)) % 2:
+    for rest in partitions(n - m, _divisors(r * m)):
+        if group == ALT and (n - 1 - len(rest)) % 2:
             continue
-        z = 1
-        for t in set(cycle_type):
-            c = cycle_type.count(t)
-            z *= t**c * math.factorial(c)
-        total += Fraction(1, z)
+        total += Fraction(1, centralizer_order((*rest, m)))
     return m * total * (2 if group == ALT else 1)
 
 
@@ -254,40 +238,22 @@ def divisor_profile(params: LineParams) -> dict:
     return {"m": m, "large": set(large), "small": set(small)}
 
 
-def _iter_group_images(group: str, n: int):
-    """Raw image tuples of the group, skipping Permutation construction."""
-    for images in _itertools_permutations(range(n)):
-        if group == ALT:
-            # count parity via cycle walk
-            seen = [False] * n
-            transpositions = 0
-            for i in range(n):
-                if seen[i]:
-                    continue
-                length = 0
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = images[j]
-                    length += 1
-                transpositions += length - 1
-            if transpositions % 2 == 1:
-                continue
-        yield images
-
-
 def rho_oracle(params: LineParams) -> Fraction:
-    """Exact rho from full enumeration: m * |N_good| / |G|.  Needs n <= 9."""
+    """Exact rho from full enumeration: m * |N_good| / |G|.  Needs n <= 9.
+
+    The reference for `exact_rho`, so it shares no code with it or with
+    `Permutation.cycles`: one walk over each image tuple of Sym(n) finds an
+    m-cycle, stops at the first cycle length not dividing rm, and takes the
+    parity from the number of cycles.
+    """
     n, m, rm = params.n, params.m, params.r * params.m
     if n > 9:
         raise ValueError(f"rho_oracle limited to n <= 9, got {n}")
-    group_size = 0
     good = 0
-    for images in _iter_group_images(params.group, n):
-        group_size += 1
+    for images in _itertools_permutations(range(n)):
         seen = [False] * n
+        cycles = 0
         has_m = False
-        ok = True
         for i in range(n):
             if seen[i]:
                 continue
@@ -297,13 +263,14 @@ def rho_oracle(params: LineParams) -> Fraction:
                 seen[j] = True
                 j = images[j]
                 length += 1
-            if length == m:
-                has_m = True
             if rm % length != 0:
-                ok = False
                 break
-        if has_m and ok:
-            good += 1
+            cycles += 1
+            has_m = has_m or length == m
+        else:
+            if has_m and (params.group == SYM or (n - cycles) % 2 == 0):
+                good += 1
+    group_size = math.factorial(n) // (1 if params.group == SYM else 2)
     return Fraction(m * good, group_size)
 
 
@@ -335,19 +302,59 @@ def d_count(x: int) -> int:
 
 def omega(x: int) -> int:
     """Number of distinct prime divisors of x."""
+    return len(prime_divisors(x))
+
+
+def prime_divisors(x: int) -> list[int]:
+    """The distinct prime divisors of x, increasing."""
     if x < 1:
         raise ValueError("x must be positive")
-    count = 0
+    out = []
     d = 2
     while d * d <= x:
         if x % d == 0:
-            count += 1
+            out.append(d)
             while x % d == 0:
                 x //= d
         d += 1
     if x > 1:
-        count += 1
-    return count
+        out.append(x)
+    return out
+
+
+def centralizer_order(parts) -> int:
+    """z = prod t^c_t c_t! over the part sizes t of multiplicity c_t, so
+    that n!/z permutations of S_n have the cycle type `parts`."""
+    z = 1
+    for t in set(parts):
+        c = parts.count(t)
+        z *= t**c * math.factorial(c)
+    return z
+
+
+def partitions(v: int, parts):
+    """The partitions of v into sizes drawn from `parts`, as non-decreasing
+    tuples in lexicographic order; lazy, so a caller may stop early.
+
+    Iterative, so a deep partition such as the first one, all ones, is not
+    passed up through v nested generators.
+    """
+    sizes = sorted({p for p in parts if 0 < p <= v})
+    acc: list[int] = []
+    at: list[int] = []  # index in sizes of each part in acc
+    rest, i = v, 0
+    while True:
+        if rest == 0:
+            yield tuple(acc)
+        elif i < len(sizes) and sizes[i] <= rest:
+            acc.append(sizes[i])
+            at.append(i)
+            rest -= sizes[i]
+            continue
+        if not acc:
+            return
+        rest += acc.pop()
+        i = at.pop() + 1
 
 
 def _divisors(x: int) -> list[int]:

@@ -1,10 +1,11 @@
 """The induced action of a degree-n permutation on k-element subsets.
 
-Two independent orbit-length engines: capped iterated tracing, and an exact
-engine combining per-cycle rotation periods by lcm.  One counting kernel,
-`orbit_length_counts`, counts k-subsets by orbit length over the divisors of
-rm; the exact pass fraction pi_g (`good_ksubset_fraction`),
-`count_bad_ksubsets` and `combinatorics.sigma_Sigma` all read it.
+The exact orbit-length engine combines per-cycle rotation periods by lcm;
+its slow reference, capped tracing through `image`, is
+`algorithms.orbit_length`.  One counting kernel, `orbit_length_counts`,
+counts k-subsets by orbit length over the divisors of rm; the exact pass
+fraction pi_g (`good_ksubset_fraction`), `count_bad_ksubsets` and
+`combinatorics.sigma_Sigma` all read it.
 """
 
 from __future__ import annotations
@@ -102,23 +103,6 @@ def image(gamma: KSubset, g: Permutation) -> KSubset:
     return KSubset._trusted(gamma.n, tuple(sorted([g.images[x] for x in gamma.points])))
 
 
-def cycle_length_trace(gamma: KSubset, g: Permutation, cap: int):
-    """Smallest t >= 1 with g^t fixing the subset, if t <= cap; else EXCEEDS_CAP.
-
-    Costs O(n) image work per step, at most cap steps.
-    """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    imgs = g.images
-    start = gamma.points
-    cur = start
-    for t in range(1, cap + 1):
-        cur = tuple(sorted(imgs[x] for x in cur))
-        if cur == start:
-            return t
-    return EXCEEDS_CAP
-
-
 def rotation_period(cycle_length: int, positions) -> int:
     """Smallest divisor d of cycle_length with positions + d == positions mod t.
 
@@ -175,12 +159,10 @@ def count_bad_ksubsets(
     params,
     k: int,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
-    good: bool = False,
 ) -> tuple[int, int]:
     """Exact count of k-subsets whose orbit length is not r0*m for any r0 | r.
 
-    Returns (bad, total) with total = C(n, k); with good=True the first
-    component counts the complement instead.
+    Returns (bad, total) with total = C(n, k).
     """
     n, m, r = params.n, params.m, params.r
     if g.n != n:
@@ -191,7 +173,7 @@ def count_bad_ksubsets(
             f"C({n},{k}) = {total} exceeds budget {budget}; use Monte Carlo mode"
         )
     good_count = int(good_ksubset_fraction(g, k, m, r) * total)
-    return (good_count if good else total - good_count), total
+    return total - good_count, total
 
 
 def good_ksubset_fraction(g: Permutation, k: int, m: int, r: int) -> Fraction:

@@ -262,35 +262,6 @@ def run_findmcycle(config: ExperimentConfig) -> SummaryStats:
     return stats
 
 
-def _partitions(v: int):
-    """All partitions of v, parts non-increasing."""
-    if v == 0:
-        yield ()
-        return
-
-    def rec(remaining, largest, acc):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            acc.append(part)
-            yield from rec(remaining - part, part, acc)
-            acc.pop()
-
-    yield from rec(v, v, [])
-
-
-def _class_size(n: int, parts: tuple[int, ...]) -> int:
-    """Number of permutations of S_n with the given cycle type."""
-    z = 1
-    mult: dict[int, int] = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    for length, count in mult.items():
-        z *= length**count * math.factorial(count)
-    return math.factorial(n) // z
-
-
 def _canonical_of_type(n: int, parts: tuple[int, ...]) -> perms.Permutation:
     images = list(range(n))
     start = 0
@@ -334,7 +305,7 @@ def exact_conditional(
     n, m, r = params.n, params.m, params.r
     limit = budget // 10**3
     summed = (
-        parts for parts in _partitions(n)
+        parts for parts in families.partitions(n, range(1, n + 1))
         if params.group == perms.SYM or (n - len(parts)) % 2 == 0
     )
     types = list(islice(summed, limit + 1))  # never lists more than needed to refuse
@@ -342,7 +313,8 @@ def exact_conditional(
         raise ValueError(
             f"cell too large for the exact oracle budget: more than {limit} conjugacy classes"
         )
-    group_order = math.factorial(n) // (1 if params.group == perms.SYM else 2)
+    fact = math.factorial(n)
+    group_order = fact // (1 if params.group == perms.SYM else 2)
 
     total_accept = Fraction(0)
     accept_in_N = Fraction(0)
@@ -352,7 +324,7 @@ def exact_conditional(
     accept_by_family: dict[str, Fraction] = {}
 
     for parts in types:
-        size = _class_size(n, parts)
+        size = fact // families.centralizer_order(parts)
         g = _canonical_of_type(n, parts)
         pi = ksets.good_ksubset_fraction(g, k, m, r)
         acc = pi**M
@@ -381,12 +353,6 @@ def exact_conditional(
     }
     n_given_accept = accept_in_N / total_accept if total_accept else Fraction(0)
     return ExactConditional(accept, n_given_accept, p, p1, p2, q, q_by_family)
-
-
-def _partitions_with_parts_dividing(v: int, rm: int):
-    for parts in _partitions(v):
-        if all(rm % p == 0 for p in parts):
-            yield parts
 
 
 def small_v_proportions(
@@ -420,12 +386,11 @@ def small_v_proportions(
     def is_large(d: int) -> bool:
         return d**q_ >= thr
 
-    fact = math.factorial(v)
     P = Fraction(0)
     P0 = Fraction(0)
     P1 = Fraction(0)
-    for parts in _partitions_with_parts_dividing(v, rm):
-        weight = Fraction(_class_size(v, parts), fact)
+    for parts in families.partitions(v, families.divisors(rm)):
+        weight = Fraction(1, families.centralizer_order(parts))
         P += weight
         large = [d for d in parts if is_large(d)]
         if not large:

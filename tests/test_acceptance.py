@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from ksettrace import bounds, combinatorics as cb, families, ksets, montecarlo, perms
+from ksettrace import algorithms, bounds, combinatorics as cb, families, ksets, montecarlo, perms
 from ksettrace.montecarlo import Estimate, ExperimentConfig
 from ksettrace.perms import SYM
 
@@ -74,7 +74,7 @@ def test_criterion_03_dual_engines():
         g = perms.random_element(SYM, n, rng)
         k = rng.randint(1, max(1, n // 2))
         gamma = ksets.random_ksubset(n, k, rng)
-        traced = ksets.cycle_length_trace(gamma, g, g.order())
+        traced = algorithms.orbit_length(ksets.image, gamma, g, g.order())
         if traced != ksets.cycle_length_exact(gamma, g):
             mismatches += 1
     ok = mismatches == 0

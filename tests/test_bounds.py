@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import pytest
 
-from ksettrace import bounds, families
+import ksettrace
+from ksettrace import bounds, combinatorics, families
 from ksettrace.perms import SYM
 
 
@@ -153,3 +159,37 @@ class TestTrialCount:
         for eps, p in [(Fraction(1, 20), Fraction(1, 100)), (Fraction(1, 2), Fraction(1, 3))]:
             N = bounds.trial_count(eps, p)
             assert (1 - p) ** N <= eps
+
+
+class TestPrecision:
+    def test_import_leaves_precision(self):
+        src = str(Path(ksettrace.__file__).resolve().parents[1])
+        code = "import mpmath, ksettrace, ksettrace.bounds, ksettrace.cli; print(mpmath.mp.dps)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.split() == ["15"]
+
+    def test_verdicts_independent_of_caller_precision(self):
+        def evaluate():
+            s, delta = Fraction(5, 8), Fraction(1, 24)
+            b_M = bounds.b_M_eval(4, s, delta, 3, 230.2706153357774, 239.38542257892908)
+            verdicts = [
+                combinatorics.check_inequality(lemma, x=x)
+                for lemma in ("lem:ns-a", "lem:ns-b")
+                for x in (Fraction(121, 10), Fraction(13), Fraction(1001, 7))
+            ] + [
+                combinatorics.check_inequality("lem:eps", eps=eps, p=p)
+                for eps, p in [(Fraction(1, 10), Fraction(1, 100)),
+                               (Fraction(36788, 100000), Fraction(1, 2))]
+            ]
+            return (b_M, bounds.n_threshold(Fraction(7, 6), b_M, 0.1),
+                    [(v.holds, str(v.lhs), str(v.rhs)) for v in verdicts])
+
+        results = []
+        for dps in (15, 60):
+            with mpmath.workdps(dps):
+                results.append(evaluate())
+                assert mpmath.mp.dps == dps
+        assert results[0] == results[1]

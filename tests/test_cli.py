@@ -109,6 +109,13 @@ class TestVerify:
         code, out = run(["verify", "--suite", "sigma"])
         assert code == 0
 
+    def test_exhaustive_removed(self, tmp_path):
+        # the flag was parsed and ignored; it is now an unknown option
+        assert run(["verify", "--suite", "binom", "--exhaustive"])[0] == 2
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"suite": "binom", "exhaustive": True}))
+        assert run(["verify", "--config", str(cfgfile)])[0] == 2
+
 
 class TestBounds:
     def test_report(self):

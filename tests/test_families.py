@@ -319,7 +319,81 @@ class TestExtractTarget:
                     assert kind in ("identity", "2-cycle", "3-cycle")
 
 
+def composition_partitions(v):
+    """Every partition of v, as the sorted compositions of v (2^(v-1) of them)."""
+    out = set()
+    for cuts in range(2 ** max(v - 1, 0)):
+        parts, size = [], 1
+        for i in range(v - 1):
+            if cuts >> i & 1:
+                parts.append(size)
+                size = 0
+            size += 1
+        out.add(tuple(sorted(parts + [size])) if v else ())
+    return out
+
+
+def old_partitions_with_min_part(u, min_part):
+    """combinatorics.partitions_with_min_part as it was written before it
+    read families.partitions."""
+    out = []
+
+    def rec(remaining, smallest, acc):
+        if remaining == 0:
+            out.append(tuple(acc))
+            return
+        for part in range(smallest, remaining + 1):
+            if remaining - part != 0 and remaining - part < smallest:
+                continue
+            acc.append(part)
+            rec(remaining - part, part, acc)
+            acc.pop()
+
+    rec(u, min_part, [])
+    return out
+
+
+class TestPartitions:
+    # A000041: the number of partitions of v, v = 0..30
+    COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297,
+              385, 490, 627, 792, 1002, 1255, 1575, 1958, 2436, 3010, 3718, 4565, 5604]
+
+    def test_counts(self):
+        for v, count in enumerate(self.COUNTS):
+            assert sum(1 for _ in families.partitions(v, range(1, v + 1))) == count
+
+    def test_all_partitions_in_lexicographic_order(self):
+        for v in range(13):
+            got = list(families.partitions(v, range(1, v + 1)))
+            assert got == sorted(composition_partitions(v))
+
+    def test_parts_dividing_rm(self):
+        for v in range(13):
+            every = sorted(composition_partitions(v))
+            for rm in (1, 2, 6, 12, 30, 105):
+                want = [p for p in every if all(rm % t == 0 for t in p)]
+                assert list(families.partitions(v, families.divisors(rm))) == want
+
+    def test_min_part_matches_old_recursion(self):
+        for u in range(21):
+            for min_part in (1, 2, 3):
+                assert partitions_with_min_part(u, min_part) == old_partitions_with_min_part(u, min_part)
+
+    def test_class_sizes_sum_to_group_order(self):
+        for n in range(13):
+            parts = families.partitions(n, range(1, n + 1))
+            assert sum(Fraction(1, families.centralizer_order(p)) for p in parts) == 1
+
+
 class TestDivisorArithmetic:
+    def test_prime_divisors(self):
+        for x in range(1, 300):
+            primes = [p for p in range(2, x + 1) if x % p == 0 and all(p % q for q in range(2, p))]
+            assert families.prime_divisors(x) == primes
+            assert families.omega(x) == len(primes)
+        with pytest.raises(ValueError):
+            families.prime_divisors(0)
+
     def test_small(self):
         assert families.d_count(1) == 1
         assert families.omega(1) == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksettrace import families, ksets, montecarlo, perms
+from ksettrace import algorithms, families, ksets, montecarlo, perms
 from ksettrace.ksets import EXCEEDS_CAP, KSubset
 from ksettrace.perms import SYM, Permutation
 
@@ -57,20 +57,30 @@ class TestImage:
             ksets.image(KSubset.of(5, [0]), Permutation.identity(6))
 
 
+def trace(gamma, g, cap):
+    """The slow reference engine: capped tracing through the action."""
+    return algorithms.orbit_length(ksets.image, gamma, g, cap)
+
+
 class TestTrace:
     def test_identity_cap_one(self):
-        assert ksets.cycle_length_trace(KSubset.of(4, [1, 2]), Permutation.identity(4), 1) == 1
+        assert trace(KSubset.of(4, [1, 2]), Permutation.identity(4), 1) == 1
 
     def test_antipodal_pair(self):
-        assert ksets.cycle_length_trace(KSubset.of(6, [0, 3]), six_cycle(), 10) == 3
+        assert trace(KSubset.of(6, [0, 3]), six_cycle(), 10) == 3
 
     def test_exceeds_cap(self):
         # the pattern 110100 on a 6-cycle is aperiodic: true length 6 > cap 2
-        out = ksets.cycle_length_trace(KSubset.of(6, [0, 1, 3]), six_cycle(), 2)
+        out = trace(KSubset.of(6, [0, 1, 3]), six_cycle(), 2)
         assert out is EXCEEDS_CAP
 
     def test_cap_exact_boundary(self):
-        assert ksets.cycle_length_trace(KSubset.of(6, [0, 1, 3]), six_cycle(), 6) == 6
+        assert trace(KSubset.of(6, [0, 1, 3]), six_cycle(), 6) == 6
+
+    def test_cap_below_one_rejected(self):
+        for cap in (0, -1):
+            with pytest.raises(ValueError):
+                trace(KSubset.of(6, [0, 3]), six_cycle(), cap)
 
 
 class TestRotationPeriod:
@@ -129,7 +139,7 @@ class TestExactEngine:
             g = perms.random_element(SYM, n, rng)
             gamma = ksets.random_ksubset(n, rng.randint(1, max(1, n // 2)), rng)
             exact = ksets.cycle_length_exact(gamma, g)
-            assert ksets.cycle_length_trace(gamma, g, g.order()) == exact
+            assert trace(gamma, g, g.order()) == exact
 
 
 class TestRandomKSubset:
@@ -337,7 +347,7 @@ class TestFastPaths:
             for k in range(1, lp.n + 1):
                 for gamma in ksets.all_ksubsets(lp.n, k):
                     exact = ksets.cycle_length_exact(gamma, g)
-                    assert exact == ksets.cycle_length_trace(gamma, g, order)
+                    assert exact == trace(gamma, g, order)
 
     @pytest.mark.parametrize("line", range(1, 10))
     @settings(max_examples=15, deadline=None)
