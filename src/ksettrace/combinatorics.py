@@ -111,12 +111,7 @@ def sigma_cycle_brute(t: int, k0: int, p: int) -> int:
     return count
 
 
-def sigma_Sigma(
-    cycle_lengths: Sequence[int],
-    rm: int,
-    k0: int,
-    budget: int = 10**7,
-) -> int:
+def sigma_Sigma(cycle_lengths: Sequence[int], rm: int, k0: int) -> int:
     """Exact count of k0-subsets of the union of the given cycles whose
     orbit length under the underlying permutation divides rm.
 
@@ -129,8 +124,6 @@ def sigma_Sigma(
         raise ValueError("every cycle length must fail to divide rm")
     if not 1 <= k0 <= u:
         raise ValueError(f"need 1 <= k0 <= u, got k0={k0}, u={u}")
-    if math.comb(u, k0) > budget:
-        raise ValueError(f"C({u},{k0}) exceeds budget {budget}")
     return sum(orbit_length_counts(cycle_lengths, k0, rm).values())
 
 

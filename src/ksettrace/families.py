@@ -65,22 +65,6 @@ class LineParams:
         }
 
 
-@dataclass(frozen=True)
-class DeltaSigma:
-    """Delta: union of g-cycles of length dividing rm; Sigma: the rest."""
-
-    delta: frozenset[int]
-    sigma: frozenset[int]
-
-    @property
-    def v(self) -> int:
-        return len(self.delta)
-
-    @property
-    def u(self) -> int:
-        return len(self.sigma)
-
-
 def line_params(group: str, n: int, goal: str) -> LineParams:
     """The unique applicable parameter line for (group, n, goal), with its
     exact rho (see `exact_rho`).
@@ -149,25 +133,11 @@ def in_group(g: Permutation, group: str) -> bool:
     return group == SYM or g.is_even()
 
 
-def delta_sigma(g: Permutation, params: LineParams) -> DeltaSigma:
-    """Split the points by whether their g-cycle length divides rm."""
-    if g.n != params.n:
-        raise ValueError(f"degree {g.n} does not match line degree {params.n}")
-    rm = params.r * params.m
-    delta: set[int] = set()
-    sigma: set[int] = set()
-    for cyc in g.cycles():
-        (delta if rm % len(cyc) == 0 else sigma).update(cyc)
-    return DeltaSigma(frozenset(delta), frozenset(sigma))
-
-
 def in_N(g: Permutation, params: LineParams) -> bool:
     """g lies in the group and contains an m-cycle."""
     if g.n != params.n:
         raise ValueError(f"degree {g.n} does not match line degree {params.n}")
-    if not in_group(g, params.group):
-        return False
-    return any(len(c) == params.m for c in g.cycles())
+    return in_group(g, params.group) and params.m in g.cycle_type()
 
 
 def in_Ngood(g: Permutation, params: LineParams) -> bool:
@@ -176,37 +146,46 @@ def in_Ngood(g: Permutation, params: LineParams) -> bool:
 
 
 def classify(g: Permutation, params: LineParams, s: Fraction) -> str:
-    """Family of g (Table of families), with the s-large threshold (rn)^s
-    compared exactly via integer cross-powers."""
-    if not Fraction(1, 2) < s < 1:
-        raise ValueError(f"s must lie in (1/2, 1), got {s}")
+    """Family of g: `classify_type` of its cycle type, once g is known to
+    lie in the line's group."""
     if g.n != params.n:
         raise ValueError(f"degree {g.n} does not match line degree {params.n}")
     if not in_group(g, params.group):
         raise ValueError("element lies outside the line's group")
-    if in_N(g, params):
+    return classify_type(g.cycle_type(), params, s)
+
+
+def classify_type(lengths, params: LineParams, s: Fraction) -> str:
+    """Family (Table of families) of the line's group elements with these
+    cycle lengths, in any order.
+
+    Delta is the union of the cycles whose length divides rm, so v is the
+    sum of those lengths.  The s-large threshold (rn)^s is compared exactly
+    via integer cross-powers.
+    """
+    if not Fraction(1, 2) < s < 1:
+        raise ValueError(f"s must lie in (1/2, 1), got {s}")
+    m = params.m
+    if m in lengths:
         return FAMILY_N
-    if g.order() % params.m != 0:
+    if math.lcm(*lengths) % m != 0:
         return FAMILY_OTHER
+    rm = params.r * m
+    delta = [t for t in lengths if rm % t == 0]
+    v = sum(delta)
     p, q = s.numerator, s.denominator
-    rn = params.r * params.n
-    ds = delta_sigma(g, params)
-    v = ds.v
+    rn_p = (params.r * params.n) ** p
     # v <= 4 (rn)^s, exactly: v^q <= 4^q rn^p
-    if v**q <= (4**q) * (rn**p):
+    if v**q <= 4**q * rn_p:
         return FAMILY_R
     # s-large: cycle length d with d >= (rn)^s, i.e. d^q >= rn^p
-    large = [
-        len(c)
-        for c in g.cycles()
-        if set(c) <= ds.delta and len(c) ** q >= rn**p
-    ]
+    large = [t for t in delta if t**q >= rn_p]
     if not large:
         return FAMILY_S0
     if len(large) >= 2:
         return FAMILY_SGE2
     # v - |C| > 3 (rn)^s, exactly: (v - |C|)^q > 3^q rn^p
-    if (v - large[0]) ** q > (3**q) * (rn**p):
+    if (v - large[0]) ** q > 3**q * rn_p:
         return FAMILY_S1PLUS
     return FAMILY_S1MINUS
 

@@ -4,8 +4,8 @@ The exact orbit-length engine combines per-cycle rotation periods by lcm;
 its slow reference, capped tracing through `image`, is
 `algorithms.orbit_length`.  One counting kernel, `orbit_length_counts`,
 counts k-subsets by orbit length over the divisors of rm; the exact pass
-fraction pi_g (`good_ksubset_fraction`), `count_bad_ksubsets` and
-`combinatorics.sigma_Sigma` all read it.
+fraction pi_g (`good_ksubset_fraction`) and `combinatorics.sigma_Sigma`
+both read it.
 """
 
 from __future__ import annotations
@@ -36,11 +36,6 @@ class ExceedsCap:
 
 
 EXCEEDS_CAP = ExceedsCap()
-
-
-class EnumerationBudgetError(ValueError):
-    """Raised when an exhaustive count would exceed the configured budget;
-    use a Monte Carlo mode instead."""
 
 
 DEFAULT_ENUMERATION_BUDGET = 10**7
@@ -154,33 +149,16 @@ def all_ksubsets(n: int, k: int) -> Iterable[KSubset]:
         yield KSubset(n, pts)
 
 
-def count_bad_ksubsets(
-    g: Permutation,
-    params,
-    k: int,
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
-) -> tuple[int, int]:
-    """Exact count of k-subsets whose orbit length is not r0*m for any r0 | r.
-
-    Returns (bad, total) with total = C(n, k).
-    """
-    n, m, r = params.n, params.m, params.r
-    if g.n != n:
-        raise DegreeMismatchError(f"degree {g.n} does not match line degree {n}")
-    total = math.comb(n, k)
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"C({n},{k}) = {total} exceeds budget {budget}; use Monte Carlo mode"
-        )
-    good_count = int(good_ksubset_fraction(g, k, m, r) * total)
-    return total - good_count, total
-
-
 def good_ksubset_fraction(g: Permutation, k: int, m: int, r: int) -> Fraction:
     """Exact fraction of k-subsets with orbit length r0*m, r0 | r."""
-    counts = orbit_length_counts(g.cycle_type(), k, r * m)
-    good_count = sum(cnt for length, cnt in counts.items() if length % m == 0)
-    return Fraction(good_count, math.comb(g.n, k))
+    return Fraction(good_ksubset_count(g.cycle_type(), k, m, r), math.comb(g.n, k))
+
+
+def good_ksubset_count(cycle_lengths: Sequence[int], k: int, m: int, r: int) -> int:
+    """Number of k-subsets with orbit length r0*m, r0 | r, for a permutation
+    with the given cycle lengths."""
+    counts = orbit_length_counts(cycle_lengths, k, r * m)
+    return sum(cnt for length, cnt in counts.items() if length % m == 0)
 
 
 def orbit_length_counts(cycle_lengths: Sequence[int], k: int, rm: int) -> dict[int, int]:

@@ -170,7 +170,7 @@ def sample_ngood(params: LineParams, rng) -> perms.Permutation:
     """Uniform element of N_good: a uniform m-cycle on a uniform m-subset,
     with the remaining <= 6 points filled by rejection until every leftover
     cycle length divides rm and the parity matches the group."""
-    n, m, rm = params.n, params.m, params.r * params.m
+    n, m = params.n, params.m
     while True:
         pts = list(range(n))
         rng.shuffle(pts)
@@ -185,10 +185,6 @@ def sample_ngood(params: LineParams, rng) -> perms.Permutation:
         for a, b in zip(rest, shuffled):
             images[a] = b
         g = perms.Permutation._trusted(images)
-        if not g.order_divides(rm):
-            continue
-        if params.group == perms.ALT and not g.is_even():
-            continue
         if families.in_Ngood(g, params):
             return g
 
@@ -262,17 +258,6 @@ def run_findmcycle(config: ExperimentConfig) -> SummaryStats:
     return stats
 
 
-def _canonical_of_type(n: int, parts: tuple[int, ...]) -> perms.Permutation:
-    images = list(range(n))
-    start = 0
-    for p in parts:
-        block = list(range(start, start + p))
-        for a, b in zip(block, block[1:] + block[:1]):
-            images[a] = b
-        start += p
-    return perms.Permutation._trusted(images)
-
-
 @dataclass(frozen=True)
 class ExactConditional:
     """Exact rationals for one (n, k, line, M) cell."""
@@ -296,13 +281,15 @@ def exact_conditional(
     """Exact acceptance probabilities by summing over conjugacy classes:
     for an element g, the per-point pass chance pi_g is the fraction of
     k-subsets with orbit length r0*m (r0 | r), and Prob(accept) = pi_g^M;
-    both are class functions.
+    both are class functions, as are the family and N_good membership, so
+    each cycle type is summed from its parts alone.
 
     The cost grows with the number of cycle types summed (the even ones for
     Alt), which may be at most budget // 10**3: at the default budget, n <= 32
     for Sym and n <= 36 for Alt.
     """
     n, m, r = params.n, params.m, params.r
+    rm = r * m
     limit = budget // 10**3
     summed = (
         parts for parts in families.partitions(n, range(1, n + 1))
@@ -314,6 +301,7 @@ def exact_conditional(
             f"cell too large for the exact oracle budget: more than {limit} conjugacy classes"
         )
     fact = math.factorial(n)
+    subsets = math.comb(n, k)
     group_order = fact // (1 if params.group == perms.SYM else 2)
 
     total_accept = Fraction(0)
@@ -325,15 +313,13 @@ def exact_conditional(
 
     for parts in types:
         size = fact // families.centralizer_order(parts)
-        g = _canonical_of_type(n, parts)
-        pi = ksets.good_ksubset_fraction(g, k, m, r)
-        acc = pi**M
+        acc = Fraction(ksets.good_ksubset_count(parts, k, m, r), subsets) ** M
         total_accept += size * acc
-        fam = families.classify(g, params, s)
+        fam = families.classify_type(parts, params, s)
         accept_by_family[fam] = accept_by_family.get(fam, Fraction(0)) + size * acc
         if fam == families.FAMILY_N:
             accept_in_N += size * acc
-            if families.in_Ngood(g, params):
+            if all(rm % t == 0 for t in parts):  # o(g) | rm: N_good
                 ngood_size += size
                 reject_in_Ngood += size * (1 - acc)
             else:

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ksettrace import families, perms
+from ksettrace import families, montecarlo, perms
 from ksettrace.combinatorics import partitions_with_min_part
 from ksettrace.families import (
     FAMILY_N,
@@ -18,8 +20,8 @@ from ksettrace.families import (
     THREE_CYCLE,
     TRANSPOSITION,
     classify,
-    delta_sigma,
     divisor_profile,
+    in_group,
     in_N,
     in_Ngood,
     line_params,
@@ -41,6 +43,76 @@ def class_sum_rho(lp):
         good += math.factorial(n) // z
     group_order = math.factorial(n) // (2 if lp.group == ALT else 1)
     return Fraction(m * good, group_order)
+
+
+def reference_delta_sigma(g, lp):
+    """Delta (the points on g-cycles of length dividing rm) and Sigma (the
+    rest), as point sets."""
+    rm = lp.r * lp.m
+    delta: set[int] = set()
+    sigma: set[int] = set()
+    for cyc in g.cycles():
+        (delta if rm % len(cyc) == 0 else sigma).update(cyc)
+    return frozenset(delta), frozenset(sigma)
+
+
+def reference_classify(g, lp, s):
+    """The element-level classifier that `classify_type` replaced: Delta as
+    a point set, and a cycle s-large only if it lies inside Delta."""
+    if not Fraction(1, 2) < s < 1:
+        raise ValueError(f"s must lie in (1/2, 1), got {s}")
+    if g.n != lp.n:
+        raise ValueError(f"degree {g.n} does not match line degree {lp.n}")
+    if lp.group == ALT and not g.is_even():
+        raise ValueError("element lies outside the line's group")
+    if any(len(c) == lp.m for c in g.cycles()):
+        return FAMILY_N
+    if g.order() % lp.m != 0:
+        return FAMILY_OTHER
+    p, q = s.numerator, s.denominator
+    rn = lp.r * lp.n
+    delta, _ = reference_delta_sigma(g, lp)
+    v = len(delta)
+    if v**q <= (4**q) * (rn**p):
+        return FAMILY_R
+    large = [len(c) for c in g.cycles() if set(c) <= delta and len(c) ** q >= rn**p]
+    if not large:
+        return FAMILY_S0
+    if len(large) >= 2:
+        return FAMILY_SGE2
+    if (v - large[0]) ** q > (3**q) * (rn**p):
+        return FAMILY_S1PLUS
+    return FAMILY_S1MINUS
+
+
+def rm_heavy_element(lp, rng):
+    """An element of Sym(n) built from cycles whose length divides rm (but
+    is not m), with the points left over closed into one more cycle: unlike
+    uniform elements, these often fall in R and the S families."""
+    rm, left, lengths = lp.r * lp.m, lp.n, []
+    while left:
+        t = rng.choice([d for d in families.divisors(rm) if d <= left and d != lp.m] + [left])
+        lengths.append(t)
+        left -= t
+    pts = list(range(lp.n))
+    rng.shuffle(pts)
+    cycles, start = [], 0
+    for t in lengths:
+        cycles.append(pts[start:start + t])
+        start += t
+    return Permutation.from_cycles(lp.n, cycles)
+
+
+# every (line, n) with n <= 200
+LINE_CELLS = [
+    (line, n)
+    for n in range(7, 201)
+    for line, cond in [
+        (1, True), (2, n % 2 == 1), (3, n % 2 == 0), (4, n % 2 == 1), (5, n % 2 == 0),
+        (6, n % 6 in (2, 4)), (7, n % 6 in (3, 5)), (8, n % 6 == 0), (9, n % 6 == 1),
+    ]
+    if cond
+]
 
 
 class TestLineParams:
@@ -104,12 +176,21 @@ class TestLineParams:
 
 
 class TestDeltaSigma:
+    """The reference's point-set Delta against the v that `classify_type`
+    sums from the cycle type."""
+
+    @staticmethod
+    def split(g, lp):
+        delta, sigma = reference_delta_sigma(g, lp)
+        rm = lp.r * lp.m
+        assert len(delta) == sum(t for t in g.cycle_type() if rm % t == 0)
+        return len(delta), len(sigma)
+
     def test_all_dividing(self):
         lp = line_params(SYM, 12, LONG_CYCLE)  # m = 12, r = 1
         g = Permutation.from_cycles(12, [list(range(6)), list(range(6, 10)), [10, 11]])
-        # wait: lengths 6, 4, 2 all divide 12
-        ds = delta_sigma(g, lp)
-        assert (ds.v, ds.u) == (12, 0)
+        # lengths 6, 4, 2 all divide 12
+        assert self.split(g, lp) == (12, 0)
 
     def test_type_643(self):
         lp = line_params(SYM, 13, LONG_CYCLE)
@@ -117,23 +198,22 @@ class TestDeltaSigma:
             13, [list(range(6)), list(range(6, 10)), list(range(10, 13))]
         )
         # rm = 13: none of 6, 4, 3 divides it
-        ds = delta_sigma(g, lp)
-        assert (ds.v, ds.u) == (0, 13)
+        assert self.split(g, lp) == (0, 13)
 
     def test_none_dividing(self):
         lp = line_params(SYM, 13, TRANSPOSITION)  # m = 11, r = 2
         g = Permutation.from_cycles(13, [list(range(7)), list(range(7, 13))])
-        ds = delta_sigma(g, lp)
-        assert (ds.v, ds.u) == (0, 13)
+        assert self.split(g, lp) == (0, 13)
 
     def test_partition(self):
         rng = random.Random(6)
         lp = line_params(SYM, 20, TRANSPOSITION)
         for _ in range(50):
             g = perms.random_element(SYM, 20, rng)
-            ds = delta_sigma(g, lp)
-            assert ds.delta | ds.sigma == frozenset(range(20))
-            assert not ds.delta & ds.sigma
+            delta, sigma = reference_delta_sigma(g, lp)
+            assert delta | sigma == frozenset(range(20))
+            assert not delta & sigma
+            self.split(g, lp)
 
 
 class TestMembership:
@@ -150,15 +230,14 @@ class TestMembership:
         assert not in_N(g9, lp)  # no 7-cycle
 
     def test_parity_enforced(self):
-        lp = line_params(ALT, 8, LONG_CYCLE)  # m = 7
-        g = Permutation.from_cycles(8, [list(range(7))])  # 7-cycle, even
+        lp = families.line_params_by_line(6, 8)  # Alt(8), m = 5
+        g = Permutation.from_cycles(8, [[0, 1, 2, 3, 4]])  # 5-cycle, even
         assert in_N(g, lp)
-        odd = Permutation.from_cycles(8, [list(range(7)), []]) if False else None
-        h = Permutation.from_cycles(8, [list(range(7))]).compose(
-            Permutation.from_cycles(8, [[0, 1]])
-        )
-        if not h.is_even():
-            assert not in_N(h, lp) or not any(len(c) == 7 for c in h.cycles())
+        odd = Permutation.from_cycles(8, [[0, 1, 2, 3, 4], [5, 6]])
+        assert not odd.is_even()
+        assert not in_N(odd, lp)
+        with pytest.raises(ValueError, match="outside"):
+            classify(odd, lp, Fraction(5, 8))
 
 
 class TestClassify:
@@ -244,6 +323,36 @@ class TestClassify:
         g = Permutation.identity(10)
         with pytest.raises(ValueError):
             classify(g, lp, Fraction(1, 2))
+        # the element is checked first
+        with pytest.raises(ValueError, match="degree"):
+            classify(Permutation.identity(9), lp, Fraction(1, 2))
+
+
+class TestClassifyMatchesPointSets:
+    @pytest.mark.parametrize("line", [3, 5, 6])
+    def test_every_element_n8(self, line):
+        lp = families.line_params_by_line(line, 8)
+        for g in perms.enumerate_group(lp.group, 8):
+            for s in (Fraction(5, 8), Fraction(7, 10)):
+                assert classify(g, lp, s) == reference_classify(g, lp, s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cell=st.sampled_from(LINE_CELLS),
+        seed=st.integers(0, 2**32 - 1),
+        s=st.sampled_from([Fraction(51, 100), Fraction(5, 8), Fraction(7, 10)]),
+    )
+    def test_drawn_elements(self, cell, seed, s):
+        lp = families.line_params_by_line(*cell)
+        rng = random.Random(seed)
+        drawn = [
+            perms.random_element(lp.group, lp.n, rng),
+            montecarlo.sample_ngood(lp, rng),
+            rm_heavy_element(lp, rng),
+        ]
+        for g in drawn:
+            if in_group(g, lp.group):
+                assert classify(g, lp, s) == reference_classify(g, lp, s)
 
 
 class TestDivisorProfile:

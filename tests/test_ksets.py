@@ -163,11 +163,13 @@ class TestRandomKSubset:
 
 
 class TestCountBad:
+    """The bad share of k-subsets (orbit length not r0*m for any r0 | r),
+    1 - good_ksubset_fraction."""
+
     def test_six_cycle_pairs(self):
-        lp = families.LineParams(1, SYM, 6, 6, 1, Fraction(1), "n-cycle")
-        bad, total = ksets.count_bad_ksubsets(six_cycle(), lp, 2)
+        bad = 1 - ksets.good_ksubset_fraction(six_cycle(), 2, 6, 1)
         # only the 3 antipodal pairs have orbit length 3 instead of 6
-        assert (bad, total) == (3, 15)
+        assert bad == Fraction(3, 15)
 
     def test_counts_match_enumeration(self):
         rng = random.Random(8)
@@ -175,13 +177,14 @@ class TestCountBad:
         for _ in range(10):
             g = perms.random_element(SYM, 10, rng)
             for k in (2, 3, 4):
-                bad, total = ksets.count_bad_ksubsets(g, lp, k)
+                total = math.comb(10, k)
+                bad = (1 - ksets.good_ksubset_fraction(g, k, lp.m, lp.r)) * total
                 brute_bad = 0
                 for gamma in ksets.all_ksubsets(10, k):
                     c = ksets.cycle_length_exact(gamma, g)
                     if not (c % lp.m == 0 and lp.r % (c // lp.m) == 0):
                         brute_bad += 1
-                assert (bad, total) == (brute_bad, math.comb(10, k))
+                assert bad == brute_bad
 
     def test_mcyc_ceiling_line3_shape(self):
         # n=10 with a 7-cycle and a 3-cycle... 3 does not divide 14, so use
@@ -191,15 +194,9 @@ class TestCountBad:
         g = Permutation.from_cycles(10, [list(range(7)), [7, 8]])
         assert families.in_Ngood(g, lp)
         for k in (2, 3, 4, 5):
-            bad, total = ksets.count_bad_ksubsets(g, lp, k)
+            bad = 1 - ksets.good_ksubset_fraction(g, k, lp.m, lp.r)
             ceiling = math.sqrt(8 * k) * (3 * k / (4 * lp.m)) ** ((k + 1) // 2)
-            assert bad / total <= ceiling
-
-    def test_budget_guard(self):
-        lp = families.line_params(SYM, 40, families.LONG_CYCLE)
-        g = Permutation.from_cycles(40, [list(range(40))])
-        with pytest.raises(ksets.EnumerationBudgetError):
-            ksets.count_bad_ksubsets(g, lp, 20, budget=10**4)
+            assert bad <= ceiling
 
     def test_good_fraction_floor_small(self):
         # for elements of N_good the good fraction is at least 1 - 2/n on
@@ -212,8 +209,7 @@ class TestCountBad:
                 if not families.in_Ngood(g, lp):
                     continue
                 for k in (2, 3):
-                    bad, total = ksets.count_bad_ksubsets(g, lp, k)
-                    assert 1 - bad / total >= 1 - 2 / n
+                    assert ksets.good_ksubset_fraction(g, k, lp.m, lp.r) >= 1 - Fraction(2, n)
 
 
 def reference_orbit_length_counts(g, k):

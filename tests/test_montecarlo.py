@@ -5,8 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from ksettrace import families, montecarlo, perms
-from ksettrace.montecarlo import ExperimentConfig, exact_conditional, wilson_interval
+from ksettrace import families, ksets, montecarlo, perms
+from ksettrace.montecarlo import (
+    ExactConditional,
+    ExperimentConfig,
+    exact_conditional,
+    wilson_interval,
+)
 from ksettrace.perms import ALT, SYM
 
 
@@ -98,6 +103,37 @@ class TestSampleNgood:
         assert chi2 < dof + 4 * math.sqrt(2 * dof)
 
 
+def element_conditional(lp, k, M, elements):
+    """ExactConditional summed over the group's elements, given as
+    (g, family, in N_good) triples."""
+    order = len(elements)
+    total = in_n = reject_ngood = reject_rest = Fraction(0)
+    ngood = 0
+    by_family: dict = {}
+    for g, fam, good in elements:
+        acc = ksets.good_ksubset_fraction(g, k, lp.m, lp.r) ** M
+        total += acc
+        by_family[fam] = by_family.get(fam, Fraction(0)) + acc
+        if fam == families.FAMILY_N:
+            in_n += acc
+        if good:
+            ngood += 1
+            reject_ngood += 1 - acc
+        else:
+            reject_rest += 1 - acc
+    return ExactConditional(
+        accept=total / order,
+        n_given_accept=in_n / total,
+        p=1 - total / order,
+        p1=reject_ngood / ngood,
+        p2=reject_rest / (order - ngood),
+        q=(total - in_n) / order,
+        q_by_family={
+            fam: val / order for fam, val in by_family.items() if fam != families.FAMILY_N
+        },
+    )
+
+
 class TestExactConditional:
     def test_identity_line2_n7(self):
         lp = families.line_params(SYM, 7, families.TRANSPOSITION)
@@ -108,23 +144,18 @@ class TestExactConditional:
         assert 0 <= ex.accept <= 1
 
     def test_matches_brute_force_n6_free_line(self):
-        # cross-check the class-sum against direct element enumeration
-        lp = families.LineParams(1, SYM, 7, 7, 1, Fraction(1), "n-cycle")
-        ex = exact_conditional(lp, 2, 3)
-        from ksettrace import ksets
-
-        total = Fraction(0)
-        for g in perms.enumerate_group(SYM, 7):
-            pi = ksets.good_ksubset_fraction(g, 2, 7, 1)
-            total += pi**3
-        assert ex.accept == total / math.factorial(7)
-
-    def test_class_representatives(self):
-        for n in range(1, 9):
-            for parts in families.partitions(n, range(1, n + 1)):
-                g = montecarlo._canonical_of_type(n, parts)
-                assert perms.Permutation(g.images) == g
-                assert g.cycle_type() == parts[::-1]  # non-increasing
+        # every field of the class sum against direct element enumeration;
+        # lines 7 and 8 start at n = 9 in Alt and at n = 12, out of its reach
+        s = Fraction(5, 8)
+        for line, n in [(1, 7), (2, 7), (4, 7), (9, 7), (3, 8), (5, 8), (6, 8)]:
+            lp = families.line_params_by_line(line, n)
+            elements = [
+                (g, families.classify(g, lp, s), families.in_Ngood(g, lp))
+                for g in perms.enumerate_group(lp.group, n)
+            ]
+            for k in (2, 3):
+                want = element_conditional(lp, k, 4, elements)
+                assert exact_conditional(lp, k, 4, s) == want, (line, n, k)
 
     def test_alt_group(self):
         lp = families.line_params(ALT, 8, families.THREE_CYCLE)
