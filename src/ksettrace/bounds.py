@@ -19,7 +19,6 @@ from .combinatorics import _mpf, trial_count  # trial_count re-exported; ceil(ln
 from .families import LineParams, d_count
 
 __all__ = [
-    "BoundParams",
     "FamilyBoundReport",
     "validate_params",
     "c_delta_search",
@@ -30,21 +29,6 @@ __all__ = [
     "family_bounds",
     "trial_count",
 ]
-
-
-@dataclass(frozen=True)
-class BoundParams:
-    """An admissible parameter tuple with its derived constants."""
-
-    M: int
-    s: Fraction
-    delta: Fraction
-    c_delta: float
-    a_delta: float
-    ell: Fraction
-    b_M: float
-    eps: float
-    r: int
 
 
 @dataclass(frozen=True)
@@ -134,19 +118,15 @@ def a_delta_eval(
     variant: str = "eq5-at-150",
     rm: int | None = None,
 ) -> dict:
-    """a_delta = (5/4)(1 + 3 c/q + (c/q)^2) with q = 150^(s-delta) or
-    rm^(s-delta); variant 'fixed-25/4' returns 25/4 together with the truth
-    value of its validity condition rm >= c_delta^(1/(s-delta))."""
+    """a_delta = (5/4)(1 + 3 c/q + (c/q)^2) with q = 150^(s-delta); variant
+    'fixed-25/4' returns 25/4 together with the truth value of its validity
+    condition rm >= c_delta^(1/(s-delta))."""
     s, delta = Fraction(s), Fraction(delta)
     if not s > delta:
         raise ValueError("need s > delta")
     exp = _mpf(s - delta)
     if variant == "eq5-at-150":
         q = mpmath.mpf(150) ** exp
-    elif variant == "custom-rm":
-        if rm is None:
-            raise ValueError("variant 'custom-rm' needs rm")
-        q = mpmath.mpf(rm) ** exp
     elif variant == "fixed-25/4":
         cond = None
         if rm is not None:

@@ -257,8 +257,6 @@ _CHECKERS = {
     "lem:eps": _check_eps,
 }
 
-LEMMA_IDS = tuple(_CHECKERS)
-
 
 def partitions_with_min_part(u: int, min_part: int = 2) -> list[tuple[int, ...]]:
     """All partitions of u into parts >= min_part, non-decreasing order."""

@@ -40,16 +40,20 @@ ALL_FAMILIES = (
 @dataclass(frozen=True)
 class LineParams:
     """One parameter line: group, degree, target cycle length m, multiplier r,
-    the exact rational rho with |N_good|/|G| = rho/m, and the element type
-    obtained by powering."""
+    and the element type obtained by powering.  The exact rational rho, with
+    |N_good|/|G| = rho/m, is computed from these fields when read."""
 
     line: int
     group: str
     n: int
     m: int
     r: int
-    rho: Fraction
     target: str
+
+    @property
+    def rho(self) -> Fraction:
+        """m * |N_good| / |G| by `exact_rho`, recomputed on every read."""
+        return exact_rho(self.group, self.n, self.m, self.r)
 
     def record(self) -> dict:
         """Flat serializable record."""
@@ -66,8 +70,8 @@ class LineParams:
 
 
 def line_params(group: str, n: int, goal: str) -> LineParams:
-    """The unique applicable parameter line for (group, n, goal), with its
-    exact rho (see `exact_rho`).
+    """The unique applicable parameter line for (group, n, goal).  Its rho is
+    not computed here, only when `LineParams.rho` is read.
 
     Requires n >= 7, so the lines stay distinct.  m >= 2 on every row except
     line 9 at n = 7, where m = n - 6 = 1 and rho = 39/280 (an element
@@ -88,23 +92,28 @@ def line_params(group: str, n: int, goal: str) -> LineParams:
     else:
         raise ValueError(f"incompatible group/goal pair ({group!r}, {goal!r})")
     line, m, r, target = row
-    return LineParams(line, group, n, m, r, exact_rho(group, n, m, r), target)
+    return LineParams(line, group, n, m, r, target)
+
+
+def ngood_types(group: str, n: int, m: int, r: int):
+    """The cycle types of N_good, each once, as tuples `(*rest, m)`: m
+    together with a partition `rest` of the other n - m points into parts
+    dividing rm.  Alt keeps only the even types.  Each type of N_good arises
+    once this way, also when m <= n - m.
+    """
+    for rest in partitions(n - m, _divisors(r * m)):
+        if group == SYM or (n - 1 - len(rest)) % 2 == 0:
+            yield (*rest, m)
 
 
 def exact_rho(group: str, n: int, m: int, r: int) -> Fraction:
     """rho = m * |N_good| / |G| by class sums.
 
-    The cycle types in N_good are m together with a partition of the other
-    n - m points into parts dividing rm (Alt keeps only the even types), and
-    a type is hit by n!/z elements (`centralizer_order`), so rho is m times
-    the sum of 1/z, doubled for Alt since |Alt(n)| = n!/2.  Each type of
-    N_good arises once this way, also when m <= n - m.
+    A type of `ngood_types` is hit by n!/z elements (`centralizer_order`),
+    so rho is m times the sum of 1/z, doubled for Alt since |Alt(n)| = n!/2.
     """
-    total = Fraction(0)
-    for rest in partitions(n - m, _divisors(r * m)):
-        if group == ALT and (n - 1 - len(rest)) % 2:
-            continue
-        total += Fraction(1, centralizer_order((*rest, m)))
+    total = sum((Fraction(1, centralizer_order(t)) for t in ngood_types(group, n, m, r)),
+                Fraction(0))
     return m * total * (2 if group == ALT else 1)
 
 

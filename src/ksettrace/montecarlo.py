@@ -136,15 +136,6 @@ class SummaryStats:
             self._count(families.ALL_FAMILIES, True),
         )
 
-    def accept_given_ngood(self) -> Estimate:
-        return Estimate(self.ngood_accepted, self.ngood_trials)
-
-    def accept_given_not_ngood(self) -> Estimate:
-        return Estimate(
-            self._count(families.ALL_FAMILIES, True) - self.ngood_accepted,
-            self.trials - self.ngood_trials,
-        )
-
     def q_estimates(self) -> dict:
         """Per-family Prob(g in family and accepted)."""
         t = self.trials
@@ -167,26 +158,22 @@ def _split_trials(trials: int, workers: int) -> list[int]:
 
 
 def sample_ngood(params: LineParams, rng) -> perms.Permutation:
-    """Uniform element of N_good: a uniform m-cycle on a uniform m-subset,
-    with the remaining <= 6 points filled by rejection until every leftover
-    cycle length divides rm and the parity matches the group."""
-    n, m = params.n, params.m
-    while True:
-        pts = list(range(n))
-        rng.shuffle(pts)
-        cycle_pts = pts[:m]  # random m-subset in random cyclic order
-        rest = pts[m:]
-        images = list(range(n))
-        for a, b in zip(cycle_pts, cycle_pts[1:] + cycle_pts[:1]):
+    """Uniform element of N_good: a cycle type of `families.ngood_types`,
+    drawn with weight 1/z (its class holds n!/z elements), with its cycles
+    laid on consecutive slices of a uniform shuffle of the points."""
+    types = list(families.ngood_types(params.group, params.n, params.m, params.r))
+    # float weights: n!/z overflows a float once n > 170
+    (parts,) = rng.choices(types, [1 / families.centralizer_order(t) for t in types])
+    pts = list(range(params.n))
+    rng.shuffle(pts)
+    images = list(range(params.n))
+    start = 0
+    for t in parts:
+        cycle = pts[start:start + t]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             images[a] = b
-        # uniform permutation of the leftover points
-        shuffled = rest[:]
-        rng.shuffle(shuffled)
-        for a, b in zip(rest, shuffled):
-            images[a] = b
-        g = perms.Permutation._trusted(images)
-        if families.in_Ngood(g, params):
-            return g
+        start += t
+    return perms.Permutation._trusted(images)
 
 
 def run_conditional(config: ExperimentConfig) -> SummaryStats:

@@ -134,7 +134,7 @@ class TestFamilyBounds:
         assert abs(rep.success_floor - 0.92236816) < 1e-9
 
     def test_mcyc_ceiling(self):
-        line = families.LineParams(1, SYM, 150, 150, 1, Fraction(1), "n-cycle")
+        line = families.LineParams(1, SYM, 150, 150, 1, "n-cycle")
         rep = bounds.family_bounds(150, 2, 4, Fraction(5, 8), Fraction(1, 24), 6.25, line)
         assert abs(rep.mcyc_ceiling - 0.04) < 1e-12
 

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -147,11 +146,7 @@ class TestOracle:
         assert "agree = True" in out
         # a line whose rho differs from the enumeration: the command reports
         # the mismatch and exits nonzero
-        line_params = families.line_params
-        monkeypatch.setattr(
-            families, "line_params",
-            lambda *a: dataclasses.replace(line_params(*a), rho=Fraction(1)),
-        )
+        monkeypatch.setattr(families, "exact_rho", lambda *a: Fraction(1))
         code, out = run(argv)
         assert code == 1
         assert "agree = False" in out

@@ -158,6 +158,26 @@ class TestLineParams:
         with pytest.raises(ValueError):
             line_params(SYM, 6, LONG_CYCLE)
 
+    def test_rho_computed_when_read(self, monkeypatch):
+        calls = []
+        exact_rho = families.exact_rho
+
+        def counting(*a):
+            calls.append(a)
+            return exact_rho(*a)
+
+        monkeypatch.setattr(families, "exact_rho", counting)
+        lp = line_params(SYM, 8, TRANSPOSITION)
+        lp2 = families.line_params_by_line(9, 13)
+        assert calls == []
+        assert lp.rho == Fraction(2, 3)
+        assert lp2.rho == class_sum_rho(lp2)
+        assert calls == [(SYM, 8, 5, 2), (ALT, 13, 7, 3)]
+
+    def test_rho_not_a_field(self):
+        with pytest.raises(TypeError):
+            families.LineParams(3, SYM, 8, 5, 2, Fraction(2, 3), "2-cycle")
+
     def test_record(self):
         rec = line_params(SYM, 8, TRANSPOSITION).record()
         assert rec == {
@@ -357,16 +377,16 @@ class TestClassifyMatchesPointSets:
 
 class TestDivisorProfile:
     def test_r2_example(self):
-        lp = families.LineParams(2, SYM, 17, 15, 2, Fraction(1), "2-cycle")
+        lp = families.LineParams(2, SYM, 17, 15, 2, "2-cycle")
         prof = divisor_profile(lp)
         assert prof["large"] == {5, 6, 10}
 
     def test_r1_prime(self):
-        lp = families.LineParams(1, SYM, 13, 13, 1, Fraction(1), "n-cycle")
+        lp = families.LineParams(1, SYM, 13, 13, 1, "n-cycle")
         assert divisor_profile(lp)["large"] == set()
 
     def test_r3_example(self):
-        lp = families.LineParams(8, ALT, 38, 35, 3, Fraction(7, 20), "3-cycle")
+        lp = families.LineParams(8, ALT, 38, 35, 3, "3-cycle")
         prof = divisor_profile(lp)
         assert prof["large"] == {15, 21}
 
@@ -389,7 +409,7 @@ class TestRhoOracle:
         # off the table: an even m, where Alt's parity filter bites, and
         # m <= n - m, where the leftover points may hold more m-cycles
         for group, n, m, r in [(ALT, 8, 6, 1), (ALT, 8, 4, 2), (SYM, 8, 3, 2)]:
-            lp = families.LineParams(0, group, n, m, r, Fraction(0), "")
+            lp = families.LineParams(0, group, n, m, r, "")
             assert families.exact_rho(group, n, m, r) == families.rho_oracle(lp)
 
     def test_guard(self):

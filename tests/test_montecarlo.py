@@ -82,14 +82,21 @@ class TestSampleNgood:
                 g = montecarlo.sample_ngood(lp, rng)
                 assert families.in_Ngood(g, lp)
 
-    def test_uniform_over_ngood_small(self):
-        # line 3 at n=8: N_good has 5376 elements; check uniformity by
-        # chi-square over the coarser statistic "cycle type"
-        lp = families.line_params(SYM, 8, families.TRANSPOSITION)
+    @pytest.mark.parametrize(
+        "line, n", [(1, 8), (2, 9), (3, 8), (4, 9), (5, 8), (6, 8), (7, 9), (9, 7)]
+    )
+    def test_uniform_over_ngood_small(self, line, n):
+        # every line small enough to enumerate (line 8 starts at n = 12):
+        # check uniformity by chi-square over the coarser statistic "cycle
+        # type", and that ngood_types lists exactly the types found
+        lp = families.line_params_by_line(line, n)
         type_counts = Counter()
-        for g in perms.enumerate_group(SYM, 8):
+        for g in perms.enumerate_group(lp.group, n):
             if families.in_Ngood(g, lp):
                 type_counts[g.cycle_type()] += 1
+        listed = [tuple(sorted(t, reverse=True))
+                  for t in families.ngood_types(lp.group, n, lp.m, lp.r)]
+        assert sorted(listed) == sorted(type_counts)  # each type once
         total = sum(type_counts.values())
         rng = random.Random(17)
         draws = 20000
@@ -99,7 +106,7 @@ class TestSampleNgood:
         for ct, cnt in type_counts.items():
             expected = draws * cnt / total
             chi2 += (got.get(ct, 0) - expected) ** 2 / expected
-        dof = len(type_counts) - 1
+        dof = max(len(type_counts) - 1, 1)
         assert chi2 < dof + 4 * math.sqrt(2 * dof)
 
 
