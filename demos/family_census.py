@@ -15,7 +15,7 @@ from ksettrace.perms import SYM
 
 n, trials = 200, 50_000
 params = families.line_params(SYM, n, families.LONG_CYCLE)
-s, delta = Fraction(5, 8), Fraction(1, 24)
+s = Fraction(5, 8)
 
 rng = random.Random(7)
 counts = {fam: 0 for fam in families.ALL_FAMILIES}
@@ -23,7 +23,7 @@ for _ in range(trials):
     g = perms.random_element(SYM, n, rng)
     counts[families.classify(g, params, s)] += 1
 
-report = bounds.family_bounds(n, 2, 4, s, delta, 6.25, params)
+report = bounds.family_bounds(n, 2, 4, s, 6.25, params)
 
 print(f"{trials} uniform elements of Sym({n}), goal {params.target}")
 print(f"{'family':>8} {'observed':>10} {'ceiling':>12}")

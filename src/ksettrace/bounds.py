@@ -34,7 +34,8 @@ __all__ = [
 @dataclass(frozen=True)
 class FamilyBoundReport:
     """Per-family probability ceilings at a concrete n, with flags saying
-    which of the three n-threshold hypotheses hold there."""
+    whether the two n-constraints that need no b_M ("size", "log") hold
+    there."""
 
     n: int
     bounds: dict
@@ -173,17 +174,17 @@ def n_satisfies(n: int, s: Fraction, r: int, ell: Fraction, b_M: float, eps: flo
     The first is exact (integer cross-powers); the others use interval
     arithmetic so a True flag is certified.
     """
+    thr = _threshold_iv(ell, b_M, eps)
+    return {**_size_log_flags(n, s, r), "threshold": mpmath.iv.mpf(n).a >= thr.b}
+
+
+def _size_log_flags(n: int, s: Fraction, r: int) -> dict:
     s = Fraction(s)
     p, q = s.numerator, s.denominator
     rn = r * n
-    first = n >= 6 and 12**q * rn**p <= (n - 6) ** q
-    ni = mpmath.iv.mpf(n)
-    rni = mpmath.iv.mpf(rn)
-    second_iv = rni ** _mpf(s) * mpmath.iv.log(ni)
-    second = second_iv.b <= n
-    thr = _threshold_iv(ell, b_M, eps)
-    third = mpmath.iv.mpf(n).a >= thr.b
-    return {"size": first, "log": second, "threshold": third}
+    size = n >= 6 and 12**q * rn**p <= (n - 6) ** q
+    log_iv = mpmath.iv.mpf(rn) ** _mpf(s) * mpmath.iv.log(mpmath.iv.mpf(n))
+    return {"size": size, "log": log_iv.b <= n}
 
 
 def _threshold_iv(ell: Fraction, b_M: float, eps: float):
@@ -205,13 +206,13 @@ def family_bounds(
     k: int,
     M: int,
     s: Fraction,
-    delta: Fraction,
     a_delta: float,
     line: LineParams,
 ) -> FamilyBoundReport:
     """The five per-family probability ceilings at degree n, plus the
-    acceptance floor ((n-2)/n)^M and the bad-k-subset-proportion ceiling
-    sqrt(8k) (3k/4m)^ceil(k/2)."""
+    acceptance floor ((n-2)/n)^M, the bad-k-subset-proportion ceiling
+    sqrt(8k) (3k/4m)^ceil(k/2), and the size and log n-constraints (the
+    third needs b_M; see `n_satisfies`)."""
     s = Fraction(s)
     r, m = line.r, line.m
     rm = r * m
@@ -231,8 +232,4 @@ def family_bounds(
     mcyc_ceiling = float(
         mpmath.sqrt(8 * k) * (mpmath.mpf(3 * k) / (4 * m)) ** ((k + 1) // 2)
     )
-    ell = ell_value(M, s, delta)
-    flags = n_satisfies(n, s, r, ell, 1.0, 1.0)
-    # the third flag needs b_M; callers wanting it should use n_satisfies directly
-    flags.pop("threshold")
-    return FamilyBoundReport(n, bounds_, success_floor, mcyc_ceiling, flags)
+    return FamilyBoundReport(n, bounds_, success_floor, mcyc_ceiling, _size_log_flags(n, s, r))

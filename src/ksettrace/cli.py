@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: trace, classify, find-mcycle, experiment, verify, bounds,
-oracle.  Options may come from a JSON config file (--config); flags override
-file values, unknown keys are rejected, and every output starts with the
-effective configuration.  Stochastic subcommands require an explicit --seed.
+oracle.  `OPTIONS` declares each option's converter once, `COMMANDS` the
+options each subcommand takes.  Options may come from a JSON config file
+(--config); flags override file values, unknown keys are rejected, and a
+file value is read as its flag's text would be, so a value of the wrong type
+(``"trials": 2.9``, ``"seed": true``) is a usage error.  Every output starts
+with the converted configuration.  Stochastic subcommands require --seed.
 
 Exit codes: 0 success, 1 a verification/bound check failed, 2 usage error.
 """
@@ -11,6 +14,7 @@ Exit codes: 0 success, 1 a verification/bound check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -23,25 +27,42 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational {text!r}") from exc
-
-
 def _group(text: str) -> str:
-    table = {"sym": perms.SYM, "alt": perms.ALT}
-    if text.lower() not in table:
-        raise UsageError(f"group must be sym or alt, got {text!r}")
-    return table[text.lower()]
+    return {"sym": perms.SYM, "alt": perms.ALT}[text.lower()]
 
 
-def _load_config(path: str, allowed: set[str]) -> dict:
+# option name -> converter from the flag's text, or the tuple of allowed values
+OPTIONS = {
+    "group": _group, "n": int, "goal": str, "perm": str, "subset": str, "cap": int,
+    "k": int, "M": int, "s": Fraction, "delta": Fraction, "eps": float, "seed": int,
+    "trials": int, "workers": int, "r": int, "cdelta": float,
+    "adelta": lambda text: float(Fraction(text)),
+    "mode": ("conditional", "findmcycle"),
+    "condition": ("none", "ngood"),
+    "suite": ("all", "binom", "npk", "sigma", "divisors"),
+    "what": ("rho", "conditional"),
+}
+HELP = {"group": "sym or alt", "goal": "long-cycle, transposition, or three-cycle"}
+LINE = ("group", "n", "goal")
+
+
+def _convert(name: str, text: str):
+    conv = OPTIONS[name]
+    if isinstance(conv, tuple):
+        if text not in conv:
+            raise UsageError(f"--{name} must be one of {', '.join(conv)}; got {text!r}")
+        return text
+    try:
+        return conv(text)
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad value for --{name}: {text!r}") from exc
+
+
+def _load_config(path: str, allowed: tuple[str, ...]) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -49,58 +70,45 @@ def _load_config(path: str, allowed: set[str]) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
-    unknown = set(data) - allowed
+    unknown = set(data) - set(allowed)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
-def _merge(args: argparse.Namespace, keys: set[str]) -> dict:
-    """Config file values, overridden by explicitly given flags."""
-    merged: dict = {}
-    if getattr(args, "config", None):
-        merged.update(_load_config(args.config, keys))
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            merged[key] = val
-    return merged
+def _require(opts: dict, names) -> None:
+    for name in names:
+        if name not in opts:
+            raise UsageError(f"missing required option --{name}")
 
 
-def _echo(merged: dict, out) -> None:
-    print("# config: " + json.dumps(merged, sort_keys=True, default=str), file=out)
+def _options(args: argparse.Namespace) -> dict:
+    """The command's options: config file values overridden by the flags
+    given, each converted once from its text, the required ones checked."""
+    _, required, optional = COMMANDS[args.command]
+    names = required + optional
+    given = _load_config(args.config, names) if args.config else {}
+    given.update({name: getattr(args, name) for name in names if getattr(args, name) is not None})
+    opts = {name: _convert(name, str(value)) for name, value in given.items()}
+    _require(opts, required)
+    return opts
 
 
-def _require_seed(merged: dict) -> int:
-    if merged.get("seed") is None:
-        raise UsageError("--seed is required for stochastic commands")
-    return int(merged["seed"])
+def _line(opts: dict) -> families.LineParams:
+    return families.line_params(opts["group"], opts["n"], opts["goal"])
 
 
-def _line_from(merged: dict) -> families.LineParams:
-    for key in ("group", "n", "goal"):
-        if key not in merged:
-            raise UsageError(f"missing required option --{key}")
-    return families.line_params(_group(str(merged["group"])), int(merged["n"]), str(merged["goal"]))
-
-
-def cmd_trace(args, out) -> int:
-    keys = {"group", "n", "goal", "perm", "subset", "cap"}
-    merged = _merge(args, keys)
-    if "n" not in merged:
-        raise UsageError("missing required option --n")
-    n = int(merged["n"])
-    if "perm" not in merged or "subset" not in merged:
-        raise UsageError("--perm and --subset are required")
-    if "cap" in merged:
-        cap = int(merged["cap"])
+def cmd_trace(opts: dict, out) -> int:
+    n = opts["n"]
+    if "cap" in opts:
+        cap = opts["cap"]
     else:
         # default cap rm comes from the parameter line
-        params = _line_from(merged)
+        _require(opts, LINE)
+        params = _line(opts)
         cap = params.r * params.m
-    g = perms.Permutation.parse(str(merged["perm"]), n=n)
-    gamma = ksets.KSubset.parse(str(merged["subset"]), n=n)
-    _echo(merged, out)
+    g = perms.Permutation.parse(opts["perm"], n=n)
+    gamma = ksets.KSubset.parse(opts["subset"], n=n)
     traced = algorithms.orbit_length(ksets.image, gamma, g, cap)
     exact = ksets.cycle_length_exact(gamma, g)
     print(f"traced: {traced}", file=out)
@@ -108,32 +116,21 @@ def cmd_trace(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args, out) -> int:
-    keys = {"group", "n", "goal", "perm", "s"}
-    merged = _merge(args, keys)
-    params = _line_from(merged)
-    if "perm" not in merged:
-        raise UsageError("--perm is required")
-    g = perms.Permutation.parse(str(merged["perm"]), n=params.n)
-    s = _parse_fraction(str(merged.get("s", "5/8")))
-    _echo(merged, out)
-    label = families.classify(g, params, s)
+def cmd_classify(opts: dict, out) -> int:
+    params = _line(opts)
+    g = perms.Permutation.parse(opts["perm"], n=params.n)
+    label = families.classify(g, params, opts.get("s", Fraction(5, 8)))
     print(f"line: {params.line}  family: {label}", file=out)
     return EXIT_OK
 
 
-def cmd_find_mcycle(args, out) -> int:
-    keys = {"group", "n", "goal", "k", "eps", "M", "seed"}
-    merged = _merge(args, keys)
-    params = _line_from(merged)
-    seed = _require_seed(merged)
-    k = int(merged.get("k", 2))
-    eps = float(merged.get("eps", 0.1))
-    M = int(merged.get("M", 4))
-    _echo(merged, out)
-    oracle = algorithms.make_testbed_oracle(params, k)
-    rng = random.Random(seed)
-    result, transcript = algorithms.find_m_cycle(params, eps, M, oracle, rng)
+def cmd_find_mcycle(opts: dict, out) -> int:
+    params = _line(opts)
+    oracle = algorithms.make_testbed_oracle(params, opts.get("k", 2))
+    rng = random.Random(opts["seed"])
+    result, transcript = algorithms.find_m_cycle(
+        params, opts.get("eps", 0.1), opts.get("M", 4), oracle, rng
+    )
     for line in transcript.lines():
         print(line, file=out)
     if result is algorithms.FAIL:
@@ -143,51 +140,24 @@ def cmd_find_mcycle(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_experiment(args, out) -> int:
-    keys = {
-        "group", "n", "goal", "k", "M", "s", "delta", "eps",
-        "mode", "trials", "seed", "workers", "condition",
-    }
-    merged = _merge(args, keys)
-    _line_from(merged)
-    seed = _require_seed(merged)
-    config = montecarlo.ExperimentConfig(
-        group=_group(str(merged["group"])),
-        n=int(merged["n"]),
-        goal=str(merged["goal"]),
-        k=int(merged.get("k", 2)),
-        M=int(merged.get("M", 4)),
-        s=_parse_fraction(str(merged.get("s", "5/8"))),
-        delta=_parse_fraction(str(merged.get("delta", "1/24"))),
-        eps=float(merged.get("eps", 0.1)),
-        mode=str(merged.get("mode", "conditional")),
-        trials=int(merged.get("trials", 10000)),
-        seed=seed,
-        workers=int(merged.get("workers", 1)),
-        condition=str(merged.get("condition", "none")),
-    )
-    _echo(merged, out)
+def cmd_experiment(opts: dict, out) -> int:
+    config = montecarlo.ExperimentConfig(**{"k": 2, **opts})
     if config.mode == "conditional":
         stats = montecarlo.run_conditional(config)
         print(montecarlo.emit_report(stats), file=out, end="")
         est = stats.n_given_accept()
         if est.trials:
             print(f"# P(m-cycle | accept) = {est.value:.6f} ci={est.ci}", file=out)
-    elif config.mode == "findmcycle":
+    else:
         stats = montecarlo.run_findmcycle(config)
         t = config.trials
         print(f"good: {stats.good}/{t}  bad: {stats.bad}/{t}  ugly: {stats.ugly}/{t}", file=out)
         print(f"ugly ci: {montecarlo.wilson_interval(stats.ugly, t)}", file=out)
-    else:
-        raise UsageError(f"unknown experiment mode {config.mode!r}")
     return EXIT_OK
 
 
-def cmd_verify(args, out) -> int:
-    keys = {"suite"}
-    merged = _merge(args, keys)
-    suite = str(merged.get("suite", "all"))
-    _echo(merged, out)
+def cmd_verify(opts: dict, out) -> int:
+    suite = opts.get("suite", "all")
     failures = 0
     rows = 0
 
@@ -242,58 +212,58 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 
 
-def cmd_bounds(args, out) -> int:
-    keys = {"M", "s", "delta", "cdelta", "adelta", "r", "eps"}
-    merged = _merge(args, keys)
-    M = int(merged.get("M", 4))
-    s = _parse_fraction(str(merged.get("s", "5/8")))
-    delta = _parse_fraction(str(merged.get("delta", "1/24")))
-    r = int(merged.get("r", 1))
-    eps = float(merged.get("eps", 1.0))
-    _echo(merged, out)
+def cmd_bounds(opts: dict, out) -> int:
+    M = opts.get("M", 4)
+    s = opts.get("s", Fraction(5, 8))
+    delta = opts.get("delta", Fraction(1, 24))
     report = bounds.validate_params(M, s, delta)
     print(f"admissible: {report['ok']}  ell: {report['ell']}", file=out)
     for v in report["violations"]:
         print(f"violation: {v}", file=out)
-    if "cdelta" in merged:
-        c_delta = float(merged["cdelta"])
+    if "cdelta" in opts:
+        c_delta = opts["cdelta"]
     else:
         c_delta, arg = bounds.c_delta_search(delta, 10**7)
         print(f"c_delta lower bound: {c_delta} at x={arg}", file=out)
-    if "adelta" in merged:
-        a_delta = float(Fraction(str(merged["adelta"])))
+    if "adelta" in opts:
+        a_delta = opts["adelta"]
     else:
         a_delta = bounds.a_delta_eval(c_delta, s, delta)["value"]
-    b_M = bounds.b_M_eval(M, s, delta, r, c_delta, a_delta)
+    b_M = bounds.b_M_eval(M, s, delta, opts.get("r", 1), c_delta, a_delta)
     print(f"c_delta: {c_delta}", file=out)
     print(f"a_delta: {a_delta}", file=out)
     print(f"b_M: {b_M}", file=out)
     if report["ell"] > 1:
-        log10_thr = bounds.n_threshold(report["ell"], b_M, eps)
+        log10_thr = bounds.n_threshold(report["ell"], b_M, opts.get("eps", 1.0))
         print(f"log10 n-threshold: {log10_thr}", file=out)
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
-def cmd_oracle(args, out) -> int:
-    keys = {"group", "n", "goal", "k", "M", "what"}
-    merged = _merge(args, keys)
-    params = _line_from(merged)
-    what = str(merged.get("what", "rho"))
-    _echo(merged, out)
-    if what == "rho":
+def cmd_oracle(opts: dict, out) -> int:
+    params = _line(opts)
+    if opts.get("what", "rho") == "rho":
         rho = families.rho_oracle(params)
         agrees = rho == params.rho
         print(f"line {params.line}: rho_oracle = {rho}, table rho = {params.rho}, agree = {agrees}", file=out)
         return EXIT_OK if agrees else EXIT_CHECK_FAILED
-    if what == "conditional":
-        k = int(merged.get("k", 2))
-        M = int(merged.get("M", 4))
-        ex = montecarlo.exact_conditional(params, k, M)
-        print(f"accept: {ex.accept}", file=out)
-        print(f"P(m-cycle | accept): {ex.n_given_accept}", file=out)
-        print(f"p: {ex.p}  p1: {ex.p1}  p2: {ex.p2}  q: {ex.q}", file=out)
-        return EXIT_OK
-    raise UsageError(f"unknown oracle target {what!r}")
+    ex = montecarlo.exact_conditional(params, opts.get("k", 2), opts.get("M", 4))
+    print(f"accept: {ex.accept}", file=out)
+    print(f"P(m-cycle | accept): {ex.n_given_accept}", file=out)
+    print(f"p: {ex.p}  p1: {ex.p1}  p2: {ex.p2}  q: {ex.q}", file=out)
+    return EXIT_OK
+
+
+# subcommand -> (function, required options, optional options)
+COMMANDS = {
+    "trace": (cmd_trace, ("n", "perm", "subset"), ("group", "goal", "cap")),
+    "classify": (cmd_classify, (*LINE, "perm"), ("s",)),
+    "find-mcycle": (cmd_find_mcycle, (*LINE, "seed"), ("k", "eps", "M")),
+    "experiment": (cmd_experiment, (*LINE, "seed"),
+                   ("k", "M", "s", "delta", "eps", "mode", "trials", "workers", "condition")),
+    "verify": (cmd_verify, (), ("suite",)),
+    "bounds": (cmd_bounds, (), ("M", "s", "delta", "cdelta", "adelta", "r", "eps")),
+    "oracle": (cmd_oracle, LINE, ("k", "M", "what")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,45 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
         "exact oracles, bound reports, and Monte Carlo experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, flags):
-        p = sub.add_parser(name)
+    for command, (_, required, optional) in COMMANDS.items():
+        p = sub.add_parser(command)
         p.add_argument("--config", help="JSON config file; flags override")
         p.add_argument("--output", help="write results to this path instead of stdout")
-        for flag, kw in flags.items():
-            p.add_argument(flag, **kw)
-        p.set_defaults(func=func)
-        return p
-
-    line_flags = {
-        "--group": {"help": "sym or alt"},
-        "--n": {"type": int},
-        "--goal": {"help": "long-cycle, transposition, or three-cycle"},
-    }
-    add("trace", cmd_trace, {**line_flags, "--perm": {}, "--subset": {}, "--cap": {"type": int}})
-    add("classify", cmd_classify, {**line_flags, "--perm": {}, "--s": {}})
-    add(
-        "find-mcycle",
-        cmd_find_mcycle,
-        {**line_flags, "--k": {"type": int}, "--eps": {"type": float},
-         "--M": {"type": int}, "--seed": {"type": int}},
-    )
-    add(
-        "experiment",
-        cmd_experiment,
-        {**line_flags, "--k": {"type": int}, "--M": {"type": int}, "--s": {},
-         "--delta": {}, "--eps": {"type": float}, "--mode": {},
-         "--trials": {"type": int}, "--seed": {"type": int},
-         "--workers": {"type": int}, "--condition": {}},
-    )
-    add("verify", cmd_verify, {"--suite": {}})
-    add(
-        "bounds",
-        cmd_bounds,
-        {"--M": {"type": int}, "--s": {}, "--delta": {}, "--cdelta": {"type": float},
-         "--adelta": {}, "--r": {"type": int}, "--eps": {"type": float}},
-    )
-    add("oracle", cmd_oracle, {**line_flags, "--k": {"type": int}, "--M": {"type": int}, "--what": {}})
+        for name in required + optional:
+            conv = OPTIONS[name]
+            p.add_argument(f"--{name}", help=", ".join(conv) if isinstance(conv, tuple) else HELP.get(name))
     return parser
 
 
@@ -352,13 +290,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if getattr(args, "output", None):
-            with open(args.output, "w") as fh:
-                return args.func(args, fh)
-        return args.func(args, sys.stdout)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        opts = _options(args)
+        with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
+            print("# config: " + json.dumps(opts, sort_keys=True, default=str), file=out)
+            return COMMANDS[args.command][0](opts, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

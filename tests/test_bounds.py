@@ -122,7 +122,7 @@ class TestFamilyBounds:
     def test_values(self):
         line = families.line_params(SYM, 10**4, families.LONG_CYCLE)
         rep = bounds.family_bounds(
-            10**4, 2, 4, Fraction(5, 8), Fraction(1, 24), 6.25, line
+            10**4, 2, 4, Fraction(5, 8), 6.25, line
         )
         d = families.d_count(line.r * line.m)
         assert abs(rep.bounds["Sge2"] - d**2 / (10**4) ** 1.25) < 1e-12
@@ -130,23 +130,48 @@ class TestFamilyBounds:
 
     def test_success_floor(self):
         line = families.line_params(SYM, 100, families.LONG_CYCLE)
-        rep = bounds.family_bounds(100, 2, 4, Fraction(5, 8), Fraction(1, 24), 6.25, line)
+        rep = bounds.family_bounds(100, 2, 4, Fraction(5, 8), 6.25, line)
         assert abs(rep.success_floor - 0.92236816) < 1e-9
 
     def test_mcyc_ceiling(self):
         line = families.LineParams(1, SYM, 150, 150, 1, "n-cycle")
-        rep = bounds.family_bounds(150, 2, 4, Fraction(5, 8), Fraction(1, 24), 6.25, line)
+        rep = bounds.family_bounds(150, 2, 4, Fraction(5, 8), 6.25, line)
         assert abs(rep.mcyc_ceiling - 0.04) < 1e-12
 
     def test_decreasing_in_n(self):
         prev = None
         for n in (10**3, 10**4, 10**5, 10**6):
             line = families.line_params(SYM, n, families.LONG_CYCLE)
-            rep = bounds.family_bounds(n, 2, 4, Fraction(5, 8), Fraction(1, 24), 6.25, line)
+            rep = bounds.family_bounds(n, 2, 4, Fraction(5, 8), 6.25, line)
             total = rep.bounds["R"] + rep.bounds["S1minus"]
             if prev is not None:
                 assert total < prev
             prev = total
+
+
+    def test_ell_one_cell(self):
+        # (M, s, delta) = (4, 5/8, 1/8) has ell = 1, where the third
+        # n-constraint's exponent 1/(ell-1) is undefined; the report reads
+        # only the two constraints that need no ell
+        assert bounds.ell_value(4, Fraction(5, 8), Fraction(1, 8)) == 1
+        line = families.line_params(SYM, 100, families.LONG_CYCLE)
+        rep = bounds.family_bounds(100, 2, 4, Fraction(5, 8), 6.25, line)
+        assert rep.hypothesis_flags == {"size": False, "log": True}
+        assert rep.bounds == pytest.approx({
+            "R": 0.289531494140625, "S0": 11.526502071313743,
+            "S1plus": 15.987926216486814, "Sge2": 0.25614449047363874,
+            "S1minus": 923.521,
+        }, rel=1e-12)
+        assert rep.mcyc_ceiling == pytest.approx(0.06, rel=1e-12)
+
+    def test_flags_match_n_satisfies(self):
+        s, ell = Fraction(5, 8), Fraction(7, 6)
+        for n in (100, 10**4):
+            line = families.line_params(SYM, n, families.LONG_CYCLE)
+            rep = bounds.family_bounds(n, 2, 4, s, 6.25, line)
+            flags = bounds.n_satisfies(n, s, line.r, ell, 1.0, 1.0)
+            assert rep.hypothesis_flags == {"size": flags["size"], "log": flags["log"]}
+        assert rep.hypothesis_flags == {"size": True, "log": True}
 
 
 class TestTrialCount:

@@ -1,6 +1,9 @@
 import io
 import json
+import re
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +182,103 @@ class TestUsage:
         )
         assert code == 0
         assert "family:" in path.read_text()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The commands of README's "From the command line" block, as argv lists."""
+    text = README.read_text()
+    block = text.split("From the command line:", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def config_of(out):
+    first = out.splitlines()[0]
+    assert first.startswith("# config: ")
+    return json.loads(first[len("# config: "):])
+
+
+class TestConfigTypes:
+    BASE = {"group": "sym", "n": 20, "goal": "long-cycle", "k": 2, "trials": 5, "seed": 1}
+
+    @pytest.mark.parametrize("bad", [
+        {"trials": 2.9}, {"seed": True}, {"n": 20.7}, {"M": 4.5}, {"n": "twenty"},
+    ])
+    def test_wrong_type_is_usage_error(self, tmp_path, bad):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({**self.BASE, **bad}))
+        code, out = run(["experiment", "--config", str(cfgfile)])
+        assert code == 2
+        assert out == ""
+
+    def test_echo_shows_converted_values(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({**self.BASE, "n": "20", "s": 0.7, "eps": 1}))
+        code, out = run(["experiment", "--config", str(cfgfile)])
+        assert code == 0
+        echoed = config_of(out)
+        assert (echoed["n"], echoed["s"], echoed["eps"], echoed["group"]) == (20, "7/10", 1.0, "Sym")
+
+
+class TestChoices:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "bogus"],
+        ["experiment", "--group", "sym", "--n", "20", "--goal", "long-cycle",
+         "--seed", "1", "--trials", "5", "--mode", "bogus"],
+        ["experiment", "--group", "sym", "--n", "20", "--goal", "long-cycle",
+         "--seed", "1", "--trials", "5", "--condition", "bogus"],
+        ["oracle", "--group", "sym", "--n", "7", "--goal", "transposition", "--what", "bogus"],
+    ])
+    def test_unknown_value_is_usage_error(self, argv):
+        code, out = run(argv)
+        assert code == 2
+        assert out == ""
+
+    def test_unknown_value_in_config(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"suite": "bogus"}))
+        assert run(["verify", "--config", str(cfgfile)]) == (2, "")
+
+
+class TestReadmeExamples:
+    def test_commands_run(self, tmp_path):
+        commands = readme_commands()
+        assert [argv[0] for argv in commands] == [
+            "trace", "classify", "find-mcycle", "experiment", "verify", "bounds", "oracle",
+        ]
+        for i, argv in enumerate(commands):
+            if "--output" in argv:
+                argv = argv[:argv.index("--output")] + argv[argv.index("--output") + 2:]
+            path = tmp_path / f"{i}.txt"
+            assert run(argv + ["--output", str(path)]) == (0, ""), argv
+            assert path.read_text().startswith("# config: ")
+
+    def test_bounds_reference_values(self):
+        claim = re.search(r"b_M = (\d+\.\d+e\d+) and log10 n-threshold (\d+\.\d+)", README.read_text())
+        b_ref, thr_ref = claim.groups()
+        bounds_argv = next(argv for argv in readme_commands() if argv[0] == "bounds")
+        code, out = run(bounds_argv + ["--adelta", "25/4", "--r", "3"])
+        assert code == 0
+        b_M = float(re.search(r"^b_M: (\S+)$", out, re.M).group(1))
+        thr = float(re.search(r"^log10 n-threshold: (\S+)$", out, re.M).group(1))
+        mantissa, exponent = b_ref.split("e")
+        assert round(b_M / 10 ** int(exponent), len(mantissa) - 2) == float(mantissa)
+        assert round(thr, len(thr_ref.split(".")[1])) == float(thr_ref)
+
+
+class TestConfigRoundTrip:
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--group", "alt", "--n", "21", "--goal", "long-cycle", "--k", "3",
+         "--trials", "300", "--seed", "5", "--s", "0.7", "--delta", "1/20", "--eps", "0.3",
+         "--condition", "ngood"],
+        ["find-mcycle", "--group", "sym", "--n", "30", "--goal", "long-cycle", "--k", "2",
+         "--eps", "0.2", "--seed", "7"],
+    ])
+    def test_echo_reruns_byte_for_byte(self, tmp_path, argv):
+        code, out = run(argv)
+        assert code == 0
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config_of(out)))
+        assert run([argv[0], "--config", str(cfgfile)]) == (0, out)
