@@ -194,20 +194,13 @@ def cmd_verify(opts: dict, out) -> int:
                     brute = combinatorics.sigma_cycle_brute(t, k0, p)
                     emit(combinatorics.Verdict("sigma", closed, brute, closed == brute), t, k0, p)
     if suite in ("divisors", "all"):
-        for line in range(1, 10):
-            n0 = {1: 8, 2: 9, 3: 8, 4: 9, 5: 8, 6: 8, 7: 9, 8: 12, 9: 13}[line]
-            for n in range(n0, 10**4, 1 if line == 1 else (2 if line in (2, 3, 4, 5) else 6)):
-                try:
-                    lp = families.line_params_by_line(line, n)
-                except ValueError:
-                    continue
+        for n in range(8, 10**4):
+            for group, goal in families.PAIRS:
+                lp = families.line_params(group, n, goal)
                 prof = families.divisor_profile(lp)
-                emit(
-                    combinatorics.Verdict("divisor-profile", sorted(prof["large"]), "table", True),
-                    line, n,
-                )
-                if lp.m > 10**4:
-                    break
+                holds = not prof["violations"]
+                emit(combinatorics.Verdict("divisor-profile", sorted(prof["large"]), "table", holds),
+                     lp.line, n)
     print(f"# checked {rows} instances, {failures} failures", file=out)
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 

@@ -69,9 +69,25 @@ class LineParams:
         }
 
 
+# line -> (group, goal, modulus, residues of n, n - m, r, target); each
+# (group, goal) pair splits the degrees n into its lines by residue class
+LINES = {
+    1: (SYM, LONG_CYCLE, 1, (0,), 0, 1, "n-cycle"),
+    2: (SYM, TRANSPOSITION, 2, (1,), 2, 2, "2-cycle"),
+    3: (SYM, TRANSPOSITION, 2, (0,), 3, 2, "2-cycle"),
+    4: (ALT, LONG_CYCLE, 2, (1,), 0, 1, "n-cycle"),
+    5: (ALT, LONG_CYCLE, 2, (0,), 1, 1, "(n-1)-cycle"),
+    6: (ALT, THREE_CYCLE, 6, (2, 4), 3, 3, "3-cycle"),
+    7: (ALT, THREE_CYCLE, 6, (3, 5), 4, 3, "3-cycle"),
+    8: (ALT, THREE_CYCLE, 6, (0,), 5, 3, "3-cycle"),
+    9: (ALT, THREE_CYCLE, 6, (1,), 6, 3, "3-cycle"),
+}
+PAIRS = tuple(dict.fromkeys(row[:2] for row in LINES.values()))  # each pair once
+
+
 def line_params(group: str, n: int, goal: str) -> LineParams:
-    """The unique applicable parameter line for (group, n, goal).  Its rho is
-    not computed here, only when `LineParams.rho` is read.
+    """The row of `LINES` for (group, goal) whose congruence n meets.  Its
+    rho is not computed here, only when `LineParams.rho` is read.
 
     Requires n >= 7, so the lines stay distinct.  m >= 2 on every row except
     line 9 at n = 7, where m = n - 6 = 1 and rho = 39/280 (an element
@@ -79,20 +95,10 @@ def line_params(group: str, n: int, goal: str) -> LineParams:
     """
     if n < 7:
         raise ValueError(f"need n >= 7, got {n}")
-    if group == SYM and goal == LONG_CYCLE:
-        row = (1, n, 1, "n-cycle")
-    elif group == SYM and goal == TRANSPOSITION:
-        row = (2, n - 2, 2, "2-cycle") if n % 2 == 1 else (3, n - 3, 2, "2-cycle")
-    elif group == ALT and goal == LONG_CYCLE:
-        row = (4, n, 1, "n-cycle") if n % 2 == 1 else (5, n - 1, 1, "(n-1)-cycle")
-    elif group == ALT and goal == THREE_CYCLE:
-        line, m = {2: (6, n - 3), 4: (6, n - 3), 3: (7, n - 4), 5: (7, n - 4),
-                   0: (8, n - 5), 1: (9, n - 6)}[n % 6]
-        row = (line, m, 3, "3-cycle")
-    else:
-        raise ValueError(f"incompatible group/goal pair ({group!r}, {goal!r})")
-    line, m, r, target = row
-    return LineParams(line, group, n, m, r, target)
+    for line, (row_group, row_goal, modulus, residues, gap, r, target) in LINES.items():
+        if (row_group, row_goal) == (group, goal) and n % modulus in residues:
+            return LineParams(line, group, n, n - gap, r, target)
+    raise ValueError(f"incompatible group/goal pair ({group!r}, {goal!r})")
 
 
 def ngood_types(group: str, n: int, m: int, r: int):
@@ -119,21 +125,10 @@ def exact_rho(group: str, n: int, m: int, r: int) -> Fraction:
 
 def line_params_by_line(line: int, n: int) -> LineParams:
     """Line number -> params, validating the line's n condition."""
-    table = {
-        1: (SYM, LONG_CYCLE, lambda n: True),
-        2: (SYM, TRANSPOSITION, lambda n: n % 2 == 1),
-        3: (SYM, TRANSPOSITION, lambda n: n % 2 == 0),
-        4: (ALT, LONG_CYCLE, lambda n: n % 2 == 1),
-        5: (ALT, LONG_CYCLE, lambda n: n % 2 == 0),
-        6: (ALT, THREE_CYCLE, lambda n: n % 6 in (2, 4)),
-        7: (ALT, THREE_CYCLE, lambda n: n % 6 in (3, 5)),
-        8: (ALT, THREE_CYCLE, lambda n: n % 6 == 0),
-        9: (ALT, THREE_CYCLE, lambda n: n % 6 == 1),
-    }
-    if line not in table:
+    if line not in LINES:
         raise ValueError(f"line must be 1..9, got {line}")
-    group, goal, cond = table[line]
-    if not cond(n):
+    group, goal, modulus, residues = LINES[line][:4]
+    if n % modulus not in residues:
         raise ValueError(f"n={n} does not satisfy line {line}'s congruence condition")
     return line_params(group, n, goal)
 
@@ -200,30 +195,27 @@ def classify_type(lengths, params: LineParams, s: Fraction) -> str:
 
 
 def divisor_profile(params: LineParams) -> dict:
-    """Divisors d of rm with d <= n, split into {m}, large (2m/7 < d, d != m),
-    and small (d <= 2m/7).
-
-    Checks that the large part matches the closed list for the line's r
-    and that every large divisor is at most 2m/3.
+    """The large divisors d of rm (d <= n, 2m/7 < d, d != m), and the
+    `violations` of the closed list for the line's r: a large divisor off
+    the list or above 2m/3, or more than three large divisors.  The list is
+    empty when the profile fits the table.
     """
     m, r, n = params.m, params.r, params.n
-    rm = r * m
-    divs = [d for d in _divisors(rm) if d <= n]
-    large = sorted(d for d in divs if 7 * d > 2 * m and d != m)
-    small = sorted(d for d in divs if 7 * d <= 2 * m)
+    large = sorted(d for d in _divisors(r * m) if d <= n and 7 * d > 2 * m and d != m)
     allowed = {
         1: {Fraction(m, 3), Fraction(m, 2)},
         2: {Fraction(m, 3), Fraction(2 * m, 5), Fraction(2 * m, 3)},
         3: {Fraction(3 * m, 7), Fraction(3 * m, 5)},
     }[r]
+    violations = []
     for d in large:
         if Fraction(d) not in allowed:
-            raise AssertionError(f"unexpected large divisor {d} for r={r}, m={m}")
+            violations.append(f"unexpected large divisor {d} for r={r}, m={m}")
         if 3 * d > 2 * m:
-            raise AssertionError(f"large divisor {d} exceeds 2m/3 for m={m}")
+            violations.append(f"large divisor {d} exceeds 2m/3 for m={m}")
     if len(large) > 3:
-        raise AssertionError("more than three large divisors")
-    return {"m": m, "large": set(large), "small": set(small)}
+        violations.append("more than three large divisors")
+    return {"large": set(large), "violations": violations}
 
 
 def rho_oracle(params: LineParams) -> Fraction:

@@ -291,39 +291,29 @@ def exact_conditional(
     subsets = math.comb(n, k)
     group_order = fact // (1 if params.group == perms.SYM else 2)
 
-    total_accept = Fraction(0)
-    accept_in_N = Fraction(0)
-    reject_in_Ngood = Fraction(0)
-    reject_not_Ngood = Fraction(0)
     ngood_size = 0
+    ngood_accept = Fraction(0)
     accept_by_family: dict[str, Fraction] = {}
 
     for parts in types:
         size = fact // families.centralizer_order(parts)
-        acc = Fraction(ksets.good_ksubset_count(parts, k, m, r), subsets) ** M
-        total_accept += size * acc
+        mass = size * Fraction(ksets.good_ksubset_count(parts, k, m, r), subsets) ** M
         fam = families.classify_type(parts, params, s)
-        accept_by_family[fam] = accept_by_family.get(fam, Fraction(0)) + size * acc
-        if fam == families.FAMILY_N:
-            accept_in_N += size * acc
-            if all(rm % t == 0 for t in parts):  # o(g) | rm: N_good
-                ngood_size += size
-                reject_in_Ngood += size * (1 - acc)
-            else:
-                reject_not_Ngood += size * (1 - acc)
-        else:
-            reject_not_Ngood += size * (1 - acc)
+        accept_by_family[fam] = accept_by_family.get(fam, Fraction(0)) + mass
+        if fam == families.FAMILY_N and all(rm % t == 0 for t in parts):  # o(g) | rm: N_good
+            ngood_size += size
+            ngood_accept += mass
 
+    accept_in_N = accept_by_family.pop(families.FAMILY_N, Fraction(0))
+    accept_out_N = sum(accept_by_family.values(), Fraction(0))
+    total_accept = accept_in_N + accept_out_N
     accept = total_accept / group_order
     p = 1 - accept
-    p1 = reject_in_Ngood / ngood_size
-    p2 = reject_not_Ngood / (group_order - ngood_size)
-    q = (total_accept - accept_in_N) / group_order
-    q_by_family = {
-        fam: val / group_order
-        for fam, val in accept_by_family.items()
-        if fam != families.FAMILY_N
-    }
+    # a class's rejected mass is its size less its accepted mass; sizes sum to |G|
+    p1 = (ngood_size - ngood_accept) / ngood_size
+    p2 = (group_order - total_accept - ngood_size + ngood_accept) / (group_order - ngood_size)
+    q = accept_out_N / group_order
+    q_by_family = {fam: val / group_order for fam, val in accept_by_family.items()}
     n_given_accept = accept_in_N / total_accept if total_accept else Fraction(0)
     return ExactConditional(accept, n_given_accept, p, p1, p2, q, q_by_family)
 

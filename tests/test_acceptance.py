@@ -123,16 +123,10 @@ def test_criterion_04_lemma_suite():
         if got > cap:
             violations.append(f"sigma_Sigma({lengths},{rm},{k0})")
 
-    for line in range(1, 10):
-        n0 = {1: 8, 2: 9, 3: 8, 4: 9, 5: 8, 6: 8, 7: 9, 8: 12, 9: 13}[line]
-        step = 1 if line == 1 else (2 if line <= 5 else 6)
-        n = n0
-        while True:
-            lp = families.line_params_by_line(line, n)
-            if lp.m > 10**4:
-                break
-            families.divisor_profile(lp)  # raises on a profile violation
-            n += step
+    for n in range(8, 10**4 + 7):  # every line up to m = 10^4, as m >= n - 6
+        for group, goal in families.PAIRS:
+            lp = families.line_params(group, n, goal)
+            violations += families.divisor_profile(lp)["violations"]
 
     ok = not violations
     detail = "0 violations across binom/npk/sigma/divisor suites" if ok else "; ".join(violations[:5])

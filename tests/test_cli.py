@@ -111,6 +111,30 @@ class TestVerify:
         code, out = run(["verify", "--suite", "sigma"])
         assert code == 0
 
+    def test_divisors_suite(self, monkeypatch):
+        code, out = run(["verify", "--suite", "divisors"])
+        rows = out.splitlines()
+        assert code == 0
+        # n = 4 (mod 6) on line 6 and n = 5 (mod 6) on line 7 are swept too
+        assert "divisor-profile, 6, 10, [3], table, True" in rows
+        assert "divisor-profile, 7, 11, [3], table, True" in rows
+        assert rows[-1] == "# checked 39968 instances, 0 failures"
+
+        profile = families.divisor_profile
+
+        def violating(params):
+            prof = profile(params)
+            if (params.line, params.n) == (6, 10):
+                prof["violations"].append("planted")
+            return prof
+
+        monkeypatch.setattr(families, "divisor_profile", violating)
+        code, out = run(["verify", "--suite", "divisors"])
+        rows = out.splitlines()
+        assert code == 1
+        assert "divisor-profile, 6, 10, [3], table, False" in rows
+        assert rows[-1] == "# checked 39968 instances, 1 failures"
+
     def test_exhaustive_removed(self, tmp_path):
         # the flag was parsed and ignored; it is now an unknown option
         assert run(["verify", "--suite", "binom", "--exhaustive"])[0] == 2

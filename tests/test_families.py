@@ -150,6 +150,21 @@ class TestLineParams:
                 lp = line_params(group, n, goal)
                 assert lp.rho == class_sum_rho(lp), (lp.line, n)
 
+    def test_constructors_agree_with_line_cells(self):
+        pair = {1: (SYM, LONG_CYCLE), 2: (SYM, TRANSPOSITION), 3: (SYM, TRANSPOSITION),
+                4: (ALT, LONG_CYCLE), 5: (ALT, LONG_CYCLE)}
+        cells = set(LINE_CELLS)
+        for n in range(7, 201):
+            for line in range(0, 11):
+                if (line, n) in cells:
+                    group, goal = pair.get(line, (ALT, THREE_CYCLE))
+                    lp = families.line_params_by_line(line, n)
+                    assert lp == line_params(group, n, goal)
+                    assert lp.line == line
+                else:
+                    with pytest.raises(ValueError):
+                        families.line_params_by_line(line, n)
+
     def test_incompatible(self):
         with pytest.raises(ValueError):
             line_params(ALT, 9, TRANSPOSITION)
@@ -391,14 +406,22 @@ class TestDivisorProfile:
         assert prof["large"] == {15, 21}
 
     def test_sweep(self):
-        # the postcondition assertions inside divisor_profile do the checking
-        for line in range(1, 10):
-            n0 = {1: 8, 2: 9, 3: 8, 4: 9, 5: 8, 6: 8, 7: 9, 8: 12, 9: 13}[line]
-            step = 1 if line == 1 else (2 if line <= 5 else 6)
-            for n in range(n0, 2000, step):
-                lp = families.line_params_by_line(line, n)
-                prof = divisor_profile(lp)
+        for n in range(8, 2000):
+            for group, goal in families.PAIRS:
+                prof = divisor_profile(line_params(group, n, goal))
+                assert prof["violations"] == [], (group, goal, n)
                 assert len(prof["large"]) <= 3
+
+    def test_violation_reported(self):
+        # line 9 at n = 7 has m = 1, so rm = 3 is a large divisor off the table
+        lp = families.LineParams(9, ALT, 7, 1, 3, "3-cycle")
+        assert lp == line_params(ALT, 7, THREE_CYCLE)
+        prof = divisor_profile(lp)
+        assert prof["large"] == {3}
+        assert prof["violations"] == [
+            "unexpected large divisor 3 for r=3, m=1",
+            "large divisor 3 exceeds 2m/3 for m=1",
+        ]
 
 
 class TestRhoOracle:
@@ -531,9 +554,7 @@ class TestDivisorArithmetic:
         assert families.divisors(12) == {1, 2, 3, 4, 6, 12}
 
     def test_d_rm_bound(self):
-        for line in range(1, 10):
-            n0 = {1: 8, 2: 9, 3: 8, 4: 9, 5: 8, 6: 8, 7: 9, 8: 12, 9: 13}[line]
-            step = 1 if line == 1 else (2 if line <= 5 else 6)
-            for n in range(n0, 500, step):
-                lp = families.line_params_by_line(line, n)
+        for n in range(8, 500):
+            for group, goal in families.PAIRS:
+                lp = line_params(group, n, goal)
                 assert families.d_count(lp.r * lp.m) <= 2 * families.d_count(lp.m)
