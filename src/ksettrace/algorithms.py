@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import ksets, perms
-from .families import LineParams
+from .families import LineParams, accepted_lengths
 
 
 class GroupOracle:
@@ -84,7 +84,6 @@ class TraceOutcome:
 FAIL = "Fail"
 
 OUTCOME_GOOD = "good"
-OUTCOME_BAD = "bad"
 OUTCOME_UGLY_STEP = "ugly-step"
 
 
@@ -143,6 +142,7 @@ def trace_cycle(
         raise ValueError("M must be at least 1")
     m, r = params.m, params.r
     cap = r * m
+    good_lengths = accepted_lengths(m, r)
     points = [oracle.random_point(rng) for _ in range(M)]
     per_point = []
     accepted = True
@@ -151,9 +151,7 @@ def trace_cycle(
             per_point.append((pt, None, None))
             continue
         length = orbit_length(oracle.act, pt, element, cap)
-        matched = None
-        if length is not ksets.EXCEEDS_CAP and length % m == 0 and r % (length // m) == 0:
-            matched = length // m
+        matched = length // m if length in good_lengths else None
         per_point.append((pt, length, matched))
         if matched is None:
             accepted = False
@@ -171,14 +169,12 @@ def find_m_cycle(
     M: int,
     oracle: GroupOracle,
     rng,
-    label: Callable[[Any], str] | None = None,
 ):
     """Draw up to N = ceil(5 n ln(2/eps)) random elements, returning the first
     accepted by trace_cycle, else FAIL.
 
-    ``label`` optionally maps an element to "good"/"bad" for the transcript
-    (testbed ground truth); without it accepted trials are recorded "good".
-    Returns (element or FAIL, Transcript).
+    The accepted trial is recorded "good" in the transcript, the rejected
+    ones "ugly-step".  Returns (element or FAIL, Transcript).
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
@@ -193,8 +189,7 @@ def find_m_cycle(
             length if length is not None else "-" for _, length, _ in outcome.per_point
         ]
         if outcome.accepted:
-            tag = label(g) if label is not None else OUTCOME_GOOD
-            transcript.add(i, tag, lengths)
+            transcript.add(i, OUTCOME_GOOD, lengths)
             return g, transcript
         transcript.add(i, OUTCOME_UGLY_STEP, lengths)
     return FAIL, transcript

@@ -2,9 +2,11 @@
 constant c_delta, the derived constants a_delta, ell, b_M, the n-threshold
 predicate, and the per-family probability bound functions.
 
-All real evaluation is done in mpmath at 60 significant digits, set per call
-by `mpmath.workdps`, so the caller's precision is left alone; rational
-quantities stay exact.
+Point evaluation is done in mpmath at 60 significant digits, set per call
+by `mpmath.workdps`, so the caller's precision is left alone.  Certified
+flags use `mpmath.iv`, which stays at 53 bits under `workdps` and rounds
+outward; rationals enter it through `combinatorics._to_iv`, which encloses
+them.  Rational quantities stay exact.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .combinatorics import _mpf, trial_count  # trial_count re-exported; ceil(ln(1/eps)/p)
+from .combinatorics import _to_iv
 from .families import LineParams, d_count
 
 __all__ = [
@@ -27,7 +29,6 @@ __all__ = [
     "n_threshold",
     "n_satisfies",
     "family_bounds",
-    "trial_count",
 ]
 
 
@@ -73,6 +74,12 @@ def validate_params(M: int, s: Fraction, delta: Fraction) -> dict:
     if not ell > 1:
         violations.append(f"ell = {ell} <= 1")
     return {"ok": not violations, "violations": violations, "ell": ell}
+
+
+def _mpf(x) -> mpmath.mpf:
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+    return mpmath.mpf(x)
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -183,14 +190,13 @@ def _size_log_flags(n: int, s: Fraction, r: int) -> dict:
     p, q = s.numerator, s.denominator
     rn = r * n
     size = n >= 6 and 12**q * rn**p <= (n - 6) ** q
-    log_iv = mpmath.iv.mpf(rn) ** _mpf(s) * mpmath.iv.log(mpmath.iv.mpf(n))
+    log_iv = mpmath.iv.mpf(rn) ** _to_iv(s) * mpmath.iv.log(mpmath.iv.mpf(n))
     return {"size": size, "log": log_iv.b <= n}
 
 
 def _threshold_iv(ell: Fraction, b_M: float, eps: float):
     base = 10 * mpmath.iv.mpf(mpmath.mpf(b_M)) / mpmath.iv.mpf(mpmath.mpf(eps))
-    expo = 1 / _mpf(Fraction(ell) - 1)
-    return base ** mpmath.iv.mpf(expo)
+    return base ** (1 / _to_iv(Fraction(ell) - 1))
 
 
 @mpmath.workdps(60)

@@ -1,6 +1,8 @@
 """Exact counters and checkable inequalities for the cycle-structure analysis:
 a binomial product inequality, counts of subset-unions of partition parts,
-rotation-defective subset counts on cycles, and assorted numeric lemmas.
+rotation-defective subset counts on cycles, and one checker per numeric lemma:
+exact rationals where possible, else intervals that enclose each rational
+(`_to_iv`), so a True verdict is never a float coincidence.
 """
 
 from __future__ import annotations
@@ -127,25 +129,8 @@ def sigma_Sigma(cycle_lengths: Sequence[int], rm: int, k0: int) -> int:
     return sum(orbit_length_counts(cycle_lengths, k0, rm).values())
 
 
-def _mpf(x) -> mpmath.mpf:
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    return mpmath.mpf(x)
-
-
-@mpmath.workdps(60)
-def check_inequality(lemma_id: str, **args) -> Verdict:
-    """Dispatch for the numeric lemmas.  Exact rationals where possible,
-    interval arithmetic (directed rounding) where exponents are irrational,
-    so a True verdict is never a float coincidence."""
-    checker = _CHECKERS.get(lemma_id)
-    if checker is None:
-        raise ValueError(f"unknown lemma id {lemma_id!r}")
-    return checker(**args)
-
-
-def _check_z_a(d: int, n: int, k: int) -> Verdict:
-    # C(d,k) <= (d/n)^k C(n,k) for 2 <= k <= d < n
+def check_z_a(d: int, n: int, k: int) -> Verdict:
+    """lem:Z-a: C(d,k) <= (d/n)^k C(n,k) for 2 <= k <= d < n."""
     if not 2 <= k <= d < n:
         raise ValueError("need 2 <= k <= d < n")
     lhs = Fraction(math.comb(d, k))
@@ -153,8 +138,8 @@ def _check_z_a(d: int, n: int, k: int) -> Verdict:
     return Verdict("lem:Z-a", lhs, rhs, lhs <= rhs)
 
 
-def _check_z_b(n: int, k: int) -> Verdict:
-    # C(floor(n/2), floor(k/2)) < 2 C(n,k) (3k/4n)^ceil(k/2) for 2 <= k <= 2n/3
+def check_z_b(n: int, k: int) -> Verdict:
+    """lem:Z-b: C(floor(n/2), floor(k/2)) < 2 C(n,k) (3k/4n)^ceil(k/2), 2 <= k <= 2n/3."""
     if not (2 <= k and 3 * k <= 2 * n):
         raise ValueError("need 2 <= k <= 2n/3")
     lhs = Fraction(math.comb(n // 2, k // 2))
@@ -162,9 +147,9 @@ def _check_z_b(n: int, k: int) -> Verdict:
     return Verdict("lem:Z-b", lhs, rhs, lhs < rhs)
 
 
-def _check_zz(d: int, k: int, t: int, a: Fraction) -> Verdict:
-    # (d+t)(d+t-1)...(d+t-k+1) < d(d-1)...(d-k+1) (1 + (1+a)^k t / (a(d-k+1)))
-    # for positive integers d, k, t with k <= d and t/(d-k+1) <= a
+def check_zz(d: int, k: int, t: int, a: Fraction) -> Verdict:
+    """lem:ZZ: (d+t)(d+t-1)...(d+t-k+1) < d(d-1)...(d-k+1) (1 + (1+a)^k t /
+    (a(d-k+1))) for positive integers d, k, t with k <= d and t/(d-k+1) <= a."""
     a = Fraction(a)
     if not (d >= 1 and k >= 1 and t >= 1 and k <= d and a > 0):
         raise ValueError("need positive d, k, t with k <= d and a > 0")
@@ -176,10 +161,10 @@ def _check_zz(d: int, k: int, t: int, a: Fraction) -> Verdict:
     return Verdict("lem:ZZ", lhs, rhs, lhs < rhs)
 
 
-def _check_simple(n: int, r: int, s: Fraction, t: int = 1) -> Verdict:
-    # hypothesis: 1/2 < s < 1 and 12 (rn)^s + 6 <= n (exact cross-power test);
-    # conclusions checked: (rn)^s/n < 1/12; n >= 156; the t-shift comparison
-    # 2(rn)^s - t > ((24-t)/12)(rn)^s; and n >= 1746 when s = 2/3
+def check_simple(n: int, r: int, s: Fraction, t: int = 1) -> Verdict:
+    """lem:simple.  Hypothesis: 1/2 < s < 1 and 12 (rn)^s + 6 <= n (exact
+    cross-power test).  Conclusions checked: (rn)^s/n < 1/12; n >= 156; the
+    t-shift comparison 2(rn)^s - t > ((24-t)/12)(rn)^s; n >= 1746 when s = 2/3."""
     s = Fraction(s)
     if not Fraction(1, 2) < s < 1:
         raise ValueError("need 1/2 < s < 1")
@@ -199,30 +184,30 @@ def _check_simple(n: int, r: int, s: Fraction, t: int = 1) -> Verdict:
     return Verdict("lem:simple", lhs, rhs, holds)
 
 
-def _check_ns_a(x: Fraction) -> Verdict:
-    # x 2^{-x} < 1/(4x) for x > 12; interval arithmetic for irrational powers
+def check_ns_a(x: Fraction) -> Verdict:
+    """lem:ns-a: x 2^{-x} < 1/(4x) for x > 12, in interval arithmetic."""
     x = Fraction(x)
     if x <= 12:
         raise ValueError("need x > 12")
-    xi = mpmath.iv.mpf(_mpf(x))
+    xi = _to_iv(x)
     lhs = xi * (mpmath.iv.mpf(2) ** (-xi))
     rhs = 1 / (4 * xi)
     return Verdict("lem:ns-a", lhs, rhs, lhs.b < rhs.a)
 
 
-def _check_ns_b(x: Fraction) -> Verdict:
-    # (11/12)^x < 5/x for x > 12
+def check_ns_b(x: Fraction) -> Verdict:
+    """lem:ns-b: (11/12)^x < 5/x for x > 12, in interval arithmetic."""
     x = Fraction(x)
     if x <= 12:
         raise ValueError("need x > 12")
-    xi = mpmath.iv.mpf(_mpf(x))
+    xi = _to_iv(x)
     lhs = (mpmath.iv.mpf(11) / 12) ** xi
     rhs = 5 / xi
     return Verdict("lem:ns-b", lhs, rhs, lhs.b < rhs.a)
 
 
-def _check_eps(eps: Fraction, p: Fraction) -> Verdict:
-    # with N = ceil(ln(1/eps)/p): (1-p)^N <= eps
+def check_eps(eps: Fraction, p: Fraction) -> Verdict:
+    """lem:eps: (1-p)^N <= eps with N = ceil(ln(1/eps)/p)."""
     eps, p = Fraction(eps), Fraction(p)
     if not (0 < eps < 1 and 0 < p < 1):
         raise ValueError("need 0 < eps < 1 and 0 < p < 1")
@@ -245,17 +230,6 @@ def trial_count(eps: Fraction, p: Fraction) -> int:
 
 def _to_iv(x: Fraction):
     return mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator)
-
-
-_CHECKERS = {
-    "lem:Z-a": _check_z_a,
-    "lem:Z-b": _check_z_b,
-    "lem:ZZ": _check_zz,
-    "lem:simple": _check_simple,
-    "lem:ns-a": _check_ns_a,
-    "lem:ns-b": _check_ns_b,
-    "lem:eps": _check_eps,
-}
 
 
 def partitions_with_min_part(u: int, min_part: int = 2) -> list[tuple[int, ...]]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .families import _divisors
+from .families import accepted_lengths, divisors
 from .perms import DegreeMismatchError, Permutation
 
 
@@ -111,7 +111,7 @@ def rotation_period(cycle_length: int, positions) -> int:
 
 def _rotation_period(t: int, pos: frozenset[int]) -> int:
     kc = len(pos)
-    for d in sorted(_divisors(t))[:-1]:  # every set has period t
+    for d in divisors(t)[:-1]:  # every set has period t
         # a d-periodic set must distribute evenly over the t//d shift-classes
         if kc * d % t != 0:
             continue
@@ -158,7 +158,7 @@ def good_ksubset_count(cycle_lengths: Sequence[int], k: int, m: int, r: int) -> 
     """Number of k-subsets with orbit length r0*m, r0 | r, for a permutation
     with the given cycle lengths."""
     counts = orbit_length_counts(cycle_lengths, k, r * m)
-    return sum(cnt for length, cnt in counts.items() if length % m == 0)
+    return sum(counts.get(length, 0) for length in accepted_lengths(m, r))
 
 
 def orbit_length_counts(cycle_lengths: Sequence[int], k: int, rm: int) -> dict[int, int]:
@@ -201,7 +201,7 @@ def _period_counts(t: int, g: int, k: int) -> list[tuple[int, list[tuple[int, in
     the rotation by d, which gives C(d, c) of them; subtracting the counts of
     the proper divisors of d leaves period exactly d.
     """
-    divs = sorted(_divisors(g))
+    divs = divisors(g)
     exact: dict[int, dict[int, int]] = {}
     for d in divs:
         step = t // d

@@ -67,15 +67,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown condition {self.condition!r}")
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score 95% interval for a binomial proportion."""
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials**2))
+    half = (WILSON_Z / denom) * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials**2))
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)
@@ -186,7 +186,8 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     """
     config.validate()
     params = config.line()
-    m, r = params.m, params.r
+    m = params.m
+    good_lengths = families.accepted_lengths(m, params.r)
     stats = SummaryStats(config)
     for worker, wtrials in enumerate(_split_trials(config.trials, config.workers)):
         rng = _worker_rng(config.seed, worker)
@@ -201,8 +202,7 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
             accepted = True
             for _ in range(config.M):
                 gamma = ksets.random_ksubset(params.n, config.k, rng)
-                length = ksets.cycle_length_exact(gamma, g)
-                if length % m != 0 or r % (length // m) != 0:
+                if ksets.cycle_length_exact(gamma, g) not in good_lengths:
                     accepted = False
                     break
             key = (fam, accepted)
@@ -221,24 +221,14 @@ def run_findmcycle(config: ExperimentConfig) -> SummaryStats:
     config.validate()
     params = config.line()
     oracle = algorithms.make_testbed_oracle(params, config.k)
-
-    def label(g):
-        return (
-            algorithms.OUTCOME_GOOD
-            if families.in_N(oracle.natural(g), params)
-            else algorithms.OUTCOME_BAD
-        )
-
     stats = SummaryStats(config)
     for worker, wtrials in enumerate(_split_trials(config.trials, config.workers)):
         rng = _worker_rng(config.seed, worker)
         for _ in range(wtrials):
-            result, transcript = algorithms.find_m_cycle(
-                params, config.eps, config.M, oracle, rng, label=label
-            )
+            result, _ = algorithms.find_m_cycle(params, config.eps, config.M, oracle, rng)
             if result is algorithms.FAIL:
                 stats.ugly += 1
-            elif transcript.entries[-1]["outcome"] == algorithms.OUTCOME_GOOD:
+            elif families.in_N(oracle.natural(result), params):
                 stats.good += 1
             else:
                 stats.bad += 1
@@ -322,15 +312,13 @@ def small_v_proportions(
     v: int,
     rm: int,
     s: Fraction,
-    r: int = 1,
     n: int | None = None,
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(P, P0, P1plus) for S_v: proportions of elements of order dividing rm
     (P), with additionally every cycle s-small (P0), or with exactly one
-    s-large cycle whose length d satisfies (rn)^s <= d < v - 3(rn)^s
-    (P1plus).
+    s-large cycle whose length d satisfies n^s <= d < v - 3n^s (P1plus).
 
-    The s-large threshold is (rn)^s with n defaulting to v; comparisons are
+    The s-large threshold is n^s with n defaulting to v; comparisons are
     exact integer cross-powers.  Computed by summing 1/z over cycle types.
     """
     if v < 0:
@@ -343,8 +331,7 @@ def small_v_proportions(
         raise ValueError("limited to v <= 12")
     s = Fraction(s)
     p_, q_ = s.numerator, s.denominator
-    amb = (n if n is not None else v) * r
-    thr = amb**p_  # d is s-large iff d^q >= (rn)^p
+    thr = (n if n is not None else v) ** p_  # d is s-large iff d^q >= n^p
 
     def is_large(d: int) -> bool:
         return d**q_ >= thr
@@ -360,28 +347,21 @@ def small_v_proportions(
             P0 += weight
         elif len(large) == 1:
             d = large[0]
-            # d in the window [(rn)^s, v - 3(rn)^s): exact cross-power tests
+            # d in the window [n^s, v - 3n^s): exact cross-power tests
             if d**q_ >= thr and (v - d) ** q_ > (3**q_) * thr:
                 P1 += weight
     return P, P0, P1
 
 
-def p1plus_recursion(
-    v: int,
-    rm: int,
-    s: Fraction,
-    r: int = 1,
-    n: int | None = None,
-) -> Fraction:
+def p1plus_recursion(v: int, rm: int, s: Fraction) -> Fraction:
     """P1plus via the divisor recursion sum_{d in D1+(v)} (1/d) P0(v-d, rm)."""
     s = Fraction(s)
     p_, q_ = s.numerator, s.denominator
-    amb = (n if n is not None else v) * r
-    thr = amb**p_
+    thr = v**p_
     total = Fraction(0)
-    for d in sorted(families.divisors(rm)):
+    for d in families.divisors(rm):
         if d < v and d**q_ >= thr and (v - d) ** q_ > (3**q_) * thr:
-            _, p0, _ = small_v_proportions(v - d, rm, s, r=r, n=n if n is not None else v)
+            _, p0, _ = small_v_proportions(v - d, rm, s, n=v)
             total += Fraction(1, d) * p0
     return total
 

@@ -177,12 +177,12 @@ class TestFamilyBounds:
 class TestTrialCount:
     def test_examples(self):
         # eps just above 1/e, p = 1/2: N = ceil(~1.99998) = 2
-        assert bounds.trial_count(Fraction(36788, 100000), Fraction(1, 2)) == 2
-        assert bounds.trial_count(Fraction(5, 100), Fraction(1, 100)) == 300
+        assert combinatorics.trial_count(Fraction(36788, 100000), Fraction(1, 2)) == 2
+        assert combinatorics.trial_count(Fraction(5, 100), Fraction(1, 100)) == 300
 
     def test_recheck(self):
         for eps, p in [(Fraction(1, 20), Fraction(1, 100)), (Fraction(1, 2), Fraction(1, 3))]:
-            N = bounds.trial_count(eps, p)
+            N = combinatorics.trial_count(eps, p)
             assert (1 - p) ** N <= eps
 
 
@@ -201,11 +201,11 @@ class TestPrecision:
             s, delta = Fraction(5, 8), Fraction(1, 24)
             b_M = bounds.b_M_eval(4, s, delta, 3, 230.2706153357774, 239.38542257892908)
             verdicts = [
-                combinatorics.check_inequality(lemma, x=x)
-                for lemma in ("lem:ns-a", "lem:ns-b")
+                check(x)
+                for check in (combinatorics.check_ns_a, combinatorics.check_ns_b)
                 for x in (Fraction(121, 10), Fraction(13), Fraction(1001, 7))
             ] + [
-                combinatorics.check_inequality("lem:eps", eps=eps, p=p)
+                combinatorics.check_eps(eps, p)
                 for eps, p in [(Fraction(1, 10), Fraction(1, 100)),
                                (Fraction(36788, 100000), Fraction(1, 2))]
             ]

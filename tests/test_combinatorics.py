@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -173,7 +174,7 @@ class TestSigmaSigma:
 
 class TestInequalities:
     def test_z_a_example(self):
-        v = cb.check_inequality("lem:Z-a", d=10, n=20, k=3)
+        v = cb.check_z_a(d=10, n=20, k=3)
         assert v.holds
         assert v.lhs == 120
         assert v.rhs == Fraction(1, 8) * 1140
@@ -182,12 +183,12 @@ class TestInequalities:
         for n in range(4, 40, 3):
             for d in range(2, n):
                 for k in range(2, d + 1):
-                    assert cb.check_inequality("lem:Z-a", d=d, n=n, k=k).holds
+                    assert cb.check_z_a(d=d, n=n, k=k).holds
 
     def test_z_b_grid(self):
         for n in range(3, 60, 2):
             for k in range(2, 2 * n // 3 + 1):
-                assert cb.check_inequality("lem:Z-b", n=n, k=k).holds
+                assert cb.check_z_b(n=n, k=k).holds
 
     def test_zz_grid(self):
         for d in (5, 9, 20, 41):
@@ -195,15 +196,13 @@ class TestInequalities:
                 for t in (1, 2, 5):
                     a = Fraction(t, d - k + 1)
                     for bump in (Fraction(0), Fraction(1, 3), Fraction(2)):
-                        assert cb.check_inequality(
-                            "lem:ZZ", d=d, k=k, t=t, a=a + bump
-                        ).holds
+                        assert cb.check_zz(d=d, k=k, t=t, a=a + bump).holds
 
     def test_simple(self):
-        v = cb.check_inequality("lem:simple", n=1000, r=1, s=Fraction(5, 8))
+        v = cb.check_simple(n=1000, r=1, s=Fraction(5, 8))
         assert v.holds
         with pytest.raises(ValueError):
-            cb.check_inequality("lem:simple", n=156, r=1, s=Fraction(5, 8))
+            cb.check_simple(n=156, r=1, s=Fraction(5, 8))
 
     def test_simple_grid(self):
         for n in (500, 2000, 10**4, 10**6):
@@ -212,26 +211,36 @@ class TestInequalities:
                     p, q = s.numerator, s.denominator
                     if 12**q * (r * n) ** p > (n - 6) ** q:
                         continue  # hypothesis fails at this size
-                    assert cb.check_inequality("lem:simple", n=n, r=r, s=s, t=5).holds
+                    assert cb.check_simple(n=n, r=r, s=s, t=5).holds
 
     def test_ns(self):
-        v = cb.check_inequality("lem:ns-a", x=Fraction(13))
+        v = cb.check_ns_a(x=Fraction(13))
         assert v.holds
         for x in [Fraction(121, 10), Fraction(13), Fraction(50), Fraction(1000)]:
-            assert cb.check_inequality("lem:ns-a", x=x).holds
-            assert cb.check_inequality("lem:ns-b", x=x).holds
+            assert cb.check_ns_a(x=x).holds
+            assert cb.check_ns_b(x=x).holds
         with pytest.raises(ValueError):
-            cb.check_inequality("lem:ns-a", x=Fraction(12))
+            cb.check_ns_a(x=Fraction(12))
+
+    def test_to_iv_encloses(self):
+        # endpoints as exact rationals: a rounded point interval would miss x
+        def exact(endpoint):
+            man, exp = mpmath.mpf(endpoint).man_exp
+            return man * Fraction(2) ** exp
+
+        for x in (Fraction(2, 3), Fraction(17, 24), Fraction(1, 6), Fraction(1001, 7)):
+            iv = cb._to_iv(x)
+            assert exact(iv.a) <= x <= exact(iv.b)
 
     def test_eps(self):
-        v = cb.check_inequality("lem:eps", eps=Fraction(1, 10), p=Fraction(1, 100))
+        v = cb.check_eps(eps=Fraction(1, 10), p=Fraction(1, 100))
         assert v.holds
         assert cb.trial_count(Fraction(1, 10), Fraction(1, 100)) == 231
 
     def test_eps_grid(self):
         for eps in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)):
             for p in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 250)):
-                assert cb.check_inequality("lem:eps", eps=eps, p=p).holds
+                assert cb.check_eps(eps=eps, p=p).holds
 
     @given(
         st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000)),
@@ -241,7 +250,3 @@ class TestInequalities:
         N = cb.trial_count(eps, p)
         assert (1 - p) ** N <= eps
         # minimality is not claimed by the bound, only sufficiency
-
-    def test_unknown_lemma(self):
-        with pytest.raises(ValueError):
-            cb.check_inequality("lem:bogus")

@@ -165,6 +165,15 @@ class TestLineParams:
                     with pytest.raises(ValueError):
                         families.line_params_by_line(line, n)
 
+    def test_accepted_lengths(self):
+        # the test's acceptance rule: L = r0*m with r0 | r
+        for n in range(7, 201):
+            for group, goal in families.PAIRS:
+                lp = line_params(group, n, goal)
+                m, r = lp.m, lp.r
+                want = {L for L in range(1, r * m + 1) if L % m == 0 and r % (L // m) == 0}
+                assert families.accepted_lengths(m, r) == want, (lp.line, n)
+
     def test_incompatible(self):
         with pytest.raises(ValueError):
             line_params(ALT, 9, TRANSPOSITION)
@@ -543,15 +552,17 @@ class TestDivisorArithmetic:
             primes = [p for p in range(2, x + 1) if x % p == 0 and all(p % q for q in range(2, p))]
             assert families.prime_divisors(x) == primes
             assert families.omega(x) == len(primes)
-        with pytest.raises(ValueError):
-            families.prime_divisors(0)
+            assert families.divisors(x) == [d for d in range(1, x + 1) if x % d == 0]
+        for bad in (families.prime_divisors, families.divisors):
+            with pytest.raises(ValueError):
+                bad(0)
 
     def test_small(self):
         assert families.d_count(1) == 1
         assert families.omega(1) == 0
         assert families.d_count(30) == 8
         assert families.omega(30) == 3
-        assert families.divisors(12) == {1, 2, 3, 4, 6, 12}
+        assert families.divisors(12) == [1, 2, 3, 4, 6, 12]
 
     def test_d_rm_bound(self):
         for n in range(8, 500):

@@ -219,7 +219,7 @@ def reference_orbit_length_counts(g, k):
     per_cycle = []
     for cyc in g.cycles():
         t = len(cyc)
-        divs = sorted(families.divisors(t))
+        divs = families.divisors(t)
         at_most = {d: {} for d in divs}
         for d in divs:
             for j in range(0, t + 1):

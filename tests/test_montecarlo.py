@@ -67,6 +67,18 @@ class TestRunFindMCycle:
         assert st.good + st.bad + st.ugly == 50
         assert st.good > 0
 
+    @pytest.mark.parametrize("group, n, goal, k, seed, split", [
+        (SYM, 12, families.LONG_CYCLE, 2, 1, (198, 2, 0)),
+        (SYM, 30, families.LONG_CYCLE, 3, 3, (185, 15, 0)),
+        (ALT, 13, families.THREE_CYCLE, 2, 4, (181, 0, 19)),
+    ])
+    def test_good_bad_ugly_split(self, group, n, goal, k, seed, split):
+        # the harness labels the returned element from ground truth: good when
+        # it has an m-cycle, bad when it has none, ugly when none is returned
+        st = montecarlo.run_findmcycle(
+            cfg(group=group, n=n, goal=goal, k=k, trials=200, eps=0.3, seed=seed))
+        assert (st.good, st.bad, st.ugly) == split
+
     def test_determinism(self):
         a = montecarlo.run_findmcycle(cfg(n=20, k=2, trials=20, eps=0.3, seed=9))
         b = montecarlo.run_findmcycle(cfg(n=20, k=2, trials=20, eps=0.3, seed=9))
