@@ -56,19 +56,6 @@ class LineParams:
         """m * |N_good| / |G| by `exact_rho`, recomputed on every read."""
         return exact_rho(self.group, self.n, self.m, self.r)
 
-    def record(self) -> dict:
-        """Flat serializable record."""
-        return {
-            "line": self.line,
-            "group": self.group,
-            "n": self.n,
-            "m": self.m,
-            "r": self.r,
-            "rho_num": self.rho.numerator,
-            "rho_den": self.rho.denominator,
-            "target": self.target,
-        }
-
 
 # line -> (group, goal, modulus, residues of n, n - m, r, target); each
 # (group, goal) pair splits the degrees n into its lines by residue class
@@ -168,7 +155,8 @@ def classify_type(lengths, params: LineParams, s: Fraction) -> str:
     sum of those lengths.  The s-large threshold (rn)^s is compared exactly
     via integer cross-powers.
     """
-    if not Fraction(1, 2) < s < 1:
+    p, q = s.numerator, s.denominator
+    if not q < 2 * p < 2 * q:  # 1/2 < s < 1, in integers
         raise ValueError(f"s must lie in (1/2, 1), got {s}")
     m = params.m
     if m in lengths:
@@ -178,7 +166,6 @@ def classify_type(lengths, params: LineParams, s: Fraction) -> str:
     rm = params.r * m
     delta = [t for t in lengths if rm % t == 0]
     v = sum(delta)
-    p, q = s.numerator, s.denominator
     rn_p = (params.r * params.n) ** p
     # v <= 4 (rn)^s, exactly: v^q <= 4^q rn^p
     if v**q <= 4**q * rn_p:
@@ -295,11 +282,6 @@ def accepted_lengths(m: int, r: int) -> frozenset[int]:
 def d_count(x: int) -> int:
     """Number of positive divisors of x."""
     return len(divisors(x))
-
-
-def omega(x: int) -> int:
-    """Number of distinct prime divisors of x."""
-    return len(prime_divisors(x))
 
 
 def prime_divisors(x: int) -> list[int]:

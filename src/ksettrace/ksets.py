@@ -1,20 +1,21 @@
 """The induced action of a degree-n permutation on k-element subsets.
 
-The exact orbit-length engine combines per-cycle rotation periods by lcm;
-its slow reference, capped tracing through `image`, is
-`algorithms.orbit_length`.  One counting kernel, `orbit_length_counts`,
-counts k-subsets by orbit length over the divisors of rm; the exact pass
-fraction pi_g (`good_ksubset_fraction`) and `combinatorics.sigma_Sigma`
-both read it.
+The exact orbit-length engine, `layout_orbit_length`, takes the lcm of the
+rotation periods of cycles laid out as consecutive blocks, and
+`cycle_length_exact` relabels a permutation into that layout; its slow
+reference is capped tracing through `image`, `algorithms.orbit_length`.
+One counting kernel, `orbit_length_counts`, counts k-subsets by orbit
+length over the divisors of rm; the exact pass fraction pi_g
+(`good_ksubset_fraction`) and `combinatorics.sigma_Sigma` both read it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 from typing import Iterable, Sequence
 
 from .families import accepted_lengths, divisors
@@ -110,30 +111,44 @@ def rotation_period(cycle_length: int, positions) -> int:
 
 
 def _rotation_period(t: int, pos: frozenset[int]) -> int:
-    kc = len(pos)
-    for d in divisors(t)[:-1]:  # every set has period t
-        # a d-periodic set must distribute evenly over the t//d shift-classes
-        if kc * d % t != 0:
-            continue
-        if all((x + d) % t in pos for x in pos):
+    # a d-periodic set must distribute evenly over the t//d shift-classes,
+    # so d is a multiple of t // gcd(|pos|, t); every set has period t
+    step = t // math.gcd(len(pos), t)
+    for d in range(step, t, step):
+        if t % d == 0 and all((x + d) % t in pos for x in pos):
             return d
     return t
 
 
 def cycle_length_exact(gamma: KSubset, g: Permutation) -> int:
-    """Orbit length of the subset under <g>: lcm of per-cycle rotation periods."""
+    """Orbit length of the subset under <g>.  Relabelling each point by its
+    place in g's cycles laid end to end turns g into the block layout of
+    `layout_orbit_length`, and orbit lengths do not change under relabelling."""
     if gamma.n != g.n:
         raise DegreeMismatchError(
             f"subset degree {gamma.n} does not match permutation degree {g.n}"
         )
-    cycles = g.cycles()  # g's first call walks it and fills the index and position maps
-    index, position = g._cycle_index, g._position
-    hits = defaultdict(list)  # cycle index -> positions of the subset's points on it
-    for p in gamma.points:
-        hits[index[p]].append(position[p])
+    cycles = g.cycles()
+    place = [0] * g.n
+    for i, x in enumerate(chain.from_iterable(cycles)):
+        place[x] = i
+    bounds = list(accumulate((len(c) for c in cycles), initial=0))
+    return layout_orbit_length(sorted([place[p] for p in gamma.points]), bounds)
+
+
+def layout_orbit_length(points: Sequence[int], bounds: Sequence[int]) -> int:
+    """Orbit length of a set of points, given increasing, under the
+    permutation whose cycles are the blocks bounds[b] .. bounds[b+1]-1 of
+    0..n-1 (bounds runs from 0 to n), each point mapped to the next one in
+    its block: the lcm of the rotation periods of the blocks it meets."""
     result = 1
-    for c, positions in hits.items():
-        result = math.lcm(result, _rotation_period(len(cycles[c]), frozenset(positions)))
+    lo = 0
+    for start, end in zip(bounds, bounds[1:]):
+        hi = bisect_left(points, end, lo)
+        if hi > lo:
+            offsets = frozenset([p - start for p in points[lo:hi]])
+            result = math.lcm(result, _rotation_period(end - start, offsets))
+            lo = hi
     return result
 
 

@@ -12,7 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterable
 
 from . import algorithms, families, ksets, perms
@@ -157,57 +157,71 @@ def _split_trials(trials: int, workers: int) -> list[int]:
     return [base + (1 if w < extra else 0) for w in range(workers)]
 
 
-def sample_ngood(params: LineParams, rng) -> perms.Permutation:
-    """Uniform element of N_good: a cycle type of `families.ngood_types`,
-    drawn with weight 1/z (its class holds n!/z elements), with its cycles
-    laid on consecutive slices of a uniform shuffle of the points."""
+def sample_type(group: str, n: int, rng) -> list[int]:
+    """Cycle lengths of a uniform element of Sym(n) or Alt(n), by Feller's
+    coupling: the cycle through the first point not yet placed has a length
+    uniform on 1..rest, where rest points remain.  Alt redraws the whole
+    type until it is even, about 2 draws on average."""
+    if group not in (perms.SYM, perms.ALT):
+        raise ValueError(f"unknown group {group!r}")
+    while True:
+        parts = []
+        rest = n
+        while rest:
+            t = rng.randrange(rest) + 1
+            parts.append(t)
+            rest -= t
+        if group == perms.SYM or (n - len(parts)) % 2 == 0:
+            return parts
+
+
+def sample_ngood(params: LineParams, rng) -> tuple[int, ...]:
+    """Cycle lengths of a uniform element of N_good: a type of
+    `families.ngood_types`, drawn with weight 1/z (its class holds n!/z
+    elements)."""
     types = list(families.ngood_types(params.group, params.n, params.m, params.r))
     # float weights: n!/z overflows a float once n > 170
     (parts,) = rng.choices(types, [1 / families.centralizer_order(t) for t in types])
-    pts = list(range(params.n))
-    rng.shuffle(pts)
-    images = list(range(params.n))
-    start = 0
-    for t in parts:
-        cycle = pts[start:start + t]
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            images[a] = b
-        start += t
-    return perms.Permutation._trusted(images)
+    return parts
 
 
 def run_conditional(config: ExperimentConfig) -> SummaryStats:
-    """Draw elements (uniform in G, or uniform in N_good when
-    config.condition == 'ngood'), classify each, run the point-tracing test
-    through the black-box oracle, and tally family-by-outcome counts.
+    """Draw cycle types of elements (uniform in G by `sample_type`, or
+    uniform in N_good by `sample_ngood` when config.condition == 'ngood'),
+    classify each, run the point-tracing test on uniform k-subsets, and
+    tally family-by-outcome counts.
 
-    Deterministic given (seed, workers): each logical worker owns a derived
-    stream and the reduction is commutative counting.
+    Every tally is a class function, so no permutation is built: the cycles
+    are laid on 0..n-1 as consecutive blocks, and a uniform k-subset has
+    the same orbit length law under that layout as under any element of
+    the type.  Deterministic given (seed, workers): each logical worker
+    owns a derived stream and the reduction is commutative counting.
     """
     config.validate()
     params = config.line()
-    m = params.m
-    good_lengths = families.accepted_lengths(m, params.r)
+    rm = params.r * params.m
+    good_lengths = families.accepted_lengths(params.m, params.r)
     stats = SummaryStats(config)
     for worker, wtrials in enumerate(_split_trials(config.trials, config.workers)):
         rng = _worker_rng(config.seed, worker)
         for _ in range(wtrials):
             if config.condition == "ngood":
-                g = sample_ngood(params, rng)
+                parts = sample_ngood(params, rng)
             else:
-                g = perms.random_element(params.group, params.n, rng)
-            fam = families.classify(g, params, config.s)
+                parts = sample_type(params.group, params.n, rng)
+            fam = families.classify_type(parts, params, config.s)
+            bounds = list(accumulate(parts, initial=0))
             # same accept set as capped tracing: any orbit longer than rm
             # cannot equal r0*m, and the exact engine is far cheaper here
             accepted = True
             for _ in range(config.M):
                 gamma = ksets.random_ksubset(params.n, config.k, rng)
-                if ksets.cycle_length_exact(gamma, g) not in good_lengths:
+                if ksets.layout_orbit_length(gamma.points, bounds) not in good_lengths:
                     accepted = False
                     break
             key = (fam, accepted)
             stats.contingency[key] = stats.contingency.get(key, 0) + 1
-            if fam == families.FAMILY_N and g.order_divides(params.r * m):
+            if fam == families.FAMILY_N and all(rm % t == 0 for t in parts):  # N_good
                 stats.ngood_trials += 1
                 if accepted:
                     stats.ngood_accepted += 1

@@ -17,10 +17,9 @@ class DegreeMismatchError(ValueError):
 
 class Permutation:
     """A permutation of {0..n-1}, stored as a tuple of images.  Being
-    immutable, it keeps the cycle profile its first `cycles()` call walks:
-    the cycles, and each point's cycle index and position in that cycle."""
+    immutable, it keeps the cycles its first `cycles()` call walks."""
 
-    __slots__ = ("images", "_cycles", "_cycle_index", "_position")
+    __slots__ = ("images", "_cycles")
 
     def __init__(self, images: Sequence[int]):
         imgs = tuple(images)
@@ -45,7 +44,7 @@ class Permutation:
         raise AttributeError("Permutation is immutable")
 
     def __reduce__(self):
-        # rebuilt through the checking constructor; the cycle profile is not sent
+        # rebuilt through the checking constructor; the cycles are not sent
         return Permutation, (self.images,)
 
     @property
@@ -119,10 +118,6 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)!r})"
 
-    def one_line_str(self) -> str:
-        """1-based one-line form, e.g. ``[2,3,1]``."""
-        return "[" + ",".join(str(x + 1) for x in self.images) + "]"
-
     def cycle_str(self) -> str:
         """1-based cycle form, fixed points included, e.g. ``(1 2 3)(4)``."""
         return "".join(
@@ -157,26 +152,19 @@ class Permutation:
         if cached is not None:
             return list(cached)
         imgs = self.images
-        n = len(imgs)
-        index = [-1] * n
-        position = [0] * n
+        seen = [False] * len(imgs)
         out = []
-        for start in range(n):
-            if index[start] >= 0:
+        for start in range(len(imgs)):
+            if seen[start]:
                 continue
-            c = len(out)
             cyc = [start]
             x = imgs[start]
             while x != start:
                 cyc.append(x)
+                seen[x] = True
                 x = imgs[x]
-            for i, x in enumerate(cyc):
-                position[x] = i
-                index[x] = c
             out.append(tuple(cyc))
         object.__setattr__(self, "_cycles", tuple(out))
-        object.__setattr__(self, "_cycle_index", index)
-        object.__setattr__(self, "_position", position)
         return out
 
     def cycle_type(self) -> tuple[int, ...]:

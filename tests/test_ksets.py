@@ -11,6 +11,8 @@ from ksettrace import algorithms, families, ksets, montecarlo, perms
 from ksettrace.ksets import EXCEEDS_CAP, KSubset
 from ksettrace.perms import SYM, Permutation
 
+from conftest import lay_type
+
 
 def six_cycle():
     return Permutation.from_cycles(6, [list(range(6))])
@@ -104,6 +106,8 @@ class TestRotationPeriod:
             rotated = {(x + d) % t for x in pos}
             assert rotated == pos
             assert ksets.rotation_period(t, rotated) == d
+            # and no smaller shift maps the set onto itself
+            assert all({(x + e) % t for x in pos} != pos for e in range(1, d))
 
 
 class TestExactEngine:
@@ -255,7 +259,8 @@ def line_elements(data, line, ns):
     uniform element of N_good (where the accepted orbit lengths live)."""
     lp = families.line_params_by_line(line, data.draw(st.sampled_from(ns), label="n"))
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
-    return lp, perms.random_element(lp.group, lp.n, rng), montecarlo.sample_ngood(lp, rng)
+    uniform = perms.random_element(lp.group, lp.n, rng)
+    return lp, uniform, lay_type(montecarlo.sample_ngood(lp, rng), lp.n, rng)
 
 
 def line_element(data, line, ns):
@@ -312,8 +317,8 @@ class TestCountingKernel:
 
 
 class TestFastPaths:
-    """The cached cycle profile and the unchecked constructors against the
-    slow paths they replace, on uniform and N_good elements of every line."""
+    """The cached cycles, the block layout and the unchecked constructors
+    against the slow paths they replace, on every line."""
 
     @pytest.mark.parametrize("line", range(1, 10))
     @settings(max_examples=15, deadline=None)
@@ -330,8 +335,6 @@ class TestFastPaths:
             assert g.order_divides(rm) == fresh.order_divides(rm)
             first.append(first.pop(0)[::-1])
             assert g.cycles() == fresh.cycles()
-            for p in range(lp.n):
-                assert g.cycles()[g._cycle_index[p]][g._position[p]] == p
 
     @pytest.mark.parametrize("line", range(1, 10))
     @settings(max_examples=10, deadline=None)
@@ -344,6 +347,27 @@ class TestFastPaths:
                 for gamma in ksets.all_ksubsets(lp.n, k):
                     exact = ksets.cycle_length_exact(gamma, g)
                     assert exact == trace(gamma, g, order)
+
+    @pytest.mark.parametrize("line", range(1, 10))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_layout_matches_permutation(self, line, data):
+        # the harness's block layout of a drawn type against the exact
+        # engine and capped tracing on the permutation with those blocks
+        lp = families.line_params_by_line(
+            line, data.draw(st.sampled_from(admissible(line, range(7, 31))), label="n"))
+        rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+        if data.draw(st.booleans(), label="ngood"):
+            parts = montecarlo.sample_ngood(lp, rng)
+        else:
+            parts = montecarlo.sample_type(lp.group, lp.n, rng)
+        bounds = [sum(parts[:i]) for i in range(len(parts) + 1)]
+        g = Permutation.from_cycles(lp.n, [range(a, b) for a, b in zip(bounds, bounds[1:])])
+        assert sorted(g.cycle_type()) == sorted(parts)
+        for _ in range(5):
+            gamma = ksets.random_ksubset(lp.n, rng.randint(1, lp.n), rng)
+            length = ksets.layout_orbit_length(gamma.points, bounds)
+            assert length == ksets.cycle_length_exact(gamma, g) == trace(gamma, g, g.order())
 
     @pytest.mark.parametrize("line", range(1, 10))
     @settings(max_examples=15, deadline=None)

@@ -14,6 +14,8 @@ from ksettrace.montecarlo import (
 )
 from ksettrace.perms import ALT, SYM
 
+from conftest import lay_type
+
 
 def cfg(**kw):
     base = dict(group=SYM, n=50, goal=families.LONG_CYCLE, k=3, trials=1000, seed=1)
@@ -60,6 +62,32 @@ class TestRunConditional:
         floor = (48 / 50) ** 4
         assert est.value >= floor - 3 * est.half_width
 
+    @pytest.mark.parametrize("goal, n, seed", [
+        (families.LONG_CYCLE, 9, 41),  # line 4
+        (families.THREE_CYCLE, 8, 42),  # line 6
+    ])
+    def test_alt_matches_exact(self, goal, n, seed):
+        # the Alt redraw of the type sampler against the exact class sum, at
+        # criterion 5's tolerance of 4 Wilson half-widths
+        lp = families.line_params(ALT, n, goal)
+        ex = exact_conditional(lp, 2, 4)
+        trials = 4 * 10**4
+        st = montecarlo.run_conditional(
+            cfg(group=ALT, n=n, goal=goal, k=2, trials=trials, seed=seed))
+        acc = st.accept_overall()
+        ngood_rejected = st.ngood_trials - st.ngood_accepted
+        rest_rejected = (trials - st.ngood_trials) - (acc.successes - st.ngood_accepted)
+        checks = [
+            ("accept", ex.accept, acc),
+            ("n_given_accept", ex.n_given_accept, st.n_given_accept()),
+            ("p1", ex.p1, montecarlo.Estimate(ngood_rejected, st.ngood_trials)),
+            ("p2", ex.p2, montecarlo.Estimate(rest_rejected, trials - st.ngood_trials)),
+            ("q", ex.q, montecarlo.Estimate(
+                sum(e.successes for e in st.q_estimates().values()), trials)),
+        ]
+        for name, exact, est in checks:
+            assert abs(est.value - float(exact)) <= 4 * est.half_width, (name, exact, est)
+
 
 class TestRunFindMCycle:
     def test_outcome_tally(self):
@@ -91,7 +119,7 @@ class TestSampleNgood:
         for line, n in [(1, 12), (2, 11), (3, 12), (6, 14), (8, 12)]:
             lp = families.line_params_by_line(line, n)
             for _ in range(30):
-                g = montecarlo.sample_ngood(lp, rng)
+                g = lay_type(montecarlo.sample_ngood(lp, rng), lp.n, rng)
                 assert families.in_Ngood(g, lp)
 
     @pytest.mark.parametrize(
@@ -112,7 +140,8 @@ class TestSampleNgood:
         total = sum(type_counts.values())
         rng = random.Random(17)
         draws = 20000
-        got = Counter(montecarlo.sample_ngood(lp, rng).cycle_type() for _ in range(draws))
+        got = Counter(tuple(sorted(montecarlo.sample_ngood(lp, rng), reverse=True))
+                      for _ in range(draws))
         assert set(got) <= set(type_counts)
         chi2 = 0.0
         for ct, cnt in type_counts.items():
@@ -120,6 +149,48 @@ class TestSampleNgood:
             chi2 += (got.get(ct, 0) - expected) ** 2 / expected
         dof = max(len(type_counts) - 1, 1)
         assert chi2 < dof + 4 * math.sqrt(2 * dof)
+
+
+class TestSampleType:
+    @pytest.mark.parametrize(
+        "line, n", [(1, 8), (2, 9), (3, 8), (4, 9), (5, 8), (6, 8), (7, 9), (8, 12), (9, 7)]
+    )
+    def test_frequencies_match_class_sizes(self, line, n):
+        # a type holds n!/z elements of Sym(n), so it has probability 1/z in
+        # Sym and, when even, 2/z in Alt; line 8 starts at n = 12
+        lp = families.line_params_by_line(line, n)
+        weight = 2 if lp.group == ALT else 1
+        expected_share = {
+            parts: Fraction(weight, families.centralizer_order(parts))
+            for parts in families.partitions(n, range(1, n + 1))
+            if lp.group == SYM or (n - len(parts)) % 2 == 0
+        }
+        assert sum(expected_share.values()) == 1
+        rng = random.Random(29)
+        draws = 20000
+        got = Counter(tuple(sorted(montecarlo.sample_type(lp.group, n, rng)))
+                      for _ in range(draws))
+        assert sum(got.values()) == draws
+        assert set(got) <= set(expected_share)  # Alt draws only even types
+        # chi-square, with the types expected fewer than 5 times pooled
+        cells = []
+        pooled = [0, 0.0]
+        for parts, share in expected_share.items():
+            expected = draws * float(share)
+            if expected < 5:
+                pooled[0] += got.get(parts, 0)
+                pooled[1] += expected
+            else:
+                cells.append((got.get(parts, 0), expected))
+        if pooled[1] > 0:
+            cells.append(tuple(pooled))
+        chi2 = sum((obs - exp) ** 2 / exp for obs, exp in cells)
+        dof = max(len(cells) - 1, 1)
+        assert chi2 < dof + 4 * math.sqrt(2 * dof)
+
+    def test_rejects_unknown_group(self):
+        with pytest.raises(ValueError, match="unknown group"):
+            montecarlo.sample_type("Cyc", 8, random.Random(0))
 
 
 def element_conditional(lp, k, M, elements):

@@ -125,7 +125,8 @@ class TestCyclesOrderParity:
 class TestTextForms:
     def test_one_line_roundtrip(self):
         p = rand_perm(8, 5)
-        assert Permutation.parse(p.one_line_str()) == p
+        text = "[" + ",".join(str(x + 1) for x in p.images) + "]"
+        assert Permutation.parse(text) == p
 
     def test_cycle_roundtrip(self):
         p = rand_perm(8, 6)
