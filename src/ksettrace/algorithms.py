@@ -3,7 +3,8 @@ permutation domain and test their orbit lengths.
 
 The group is reached only through an oracle (random elements, random points,
 an action map); the testbed instantiation uses the k-subset action of
-Sym(n)/Alt(n) and carries an inspection backdoor for experiment labelling.
+Sym(n)/Alt(n), with frozenset points, and carries an inspection backdoor for
+experiment labelling.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ class GroupOracle:
 class TestbedOracle(GroupOracle):
     """Oracle realized by Sym(n) or Alt(n) acting on k-subsets.
 
+    Points are frozensets of k ints in 0..n-1, drawn by the same
+    ``rng.sample`` call as ``ksets.random_ksubset``; the sorted ``KSubset``
+    and ``ksets.image`` are their slow reference, and the detector reads
+    points only through ``act`` and ``!=``.
+
     ``natural(element)`` exposes the underlying degree-n permutation; it is
     for experiment labelling only and is never read by the algorithms here.
     """
@@ -50,11 +56,16 @@ class TestbedOracle(GroupOracle):
     def random_element(self, rng) -> perms.Permutation:
         return perms.random_element(self.params.group, self.params.n, rng)
 
-    def random_point(self, rng) -> ksets.KSubset:
-        return ksets.random_ksubset(self.params.n, self.k, rng)
+    def random_point(self, rng) -> frozenset[int]:
+        return frozenset(rng.sample(range(self.params.n), self.k))
 
-    def act(self, point: ksets.KSubset, element: perms.Permutation) -> ksets.KSubset:
-        return ksets.image(point, element)
+    def act(self, point: frozenset[int], element: perms.Permutation) -> frozenset[int]:
+        images = element.images
+        if len(images) != self.params.n:
+            raise perms.DegreeMismatchError(
+                f"point degree {self.params.n} does not match permutation degree {len(images)}"
+            )
+        return frozenset(map(images.__getitem__, point))
 
     def natural(self, element: perms.Permutation) -> perms.Permutation:
         return element
@@ -89,9 +100,10 @@ OUTCOME_UGLY_STEP = "ugly-step"
 
 @dataclass
 class Transcript:
-    """Per-trial record of a detection run."""
+    """Per-trial record of a detection run, traced with orbit cap ``cap``."""
 
     entries: list[dict] = field(default_factory=list)
+    cap: int | None = None
 
     def add(self, trial_index: int, outcome: str, lengths: list) -> None:
         self.entries.append(
@@ -108,6 +120,27 @@ class Transcript:
             )
             for e in self.entries
         ]
+
+    def cost(self) -> dict[str, int]:
+        """The run's oracle calls and tracing totals, read from the entries.
+
+        Each element draws one point per entry of its lengths; a traced point
+        costs its orbit length in acts, or ``cap`` when it exceeded the cap.
+        An early rejection is an element rejected at its first point.
+        """
+        traced = [[x for x in e["lengths"] if x != "-"] for e in self.entries]
+        flat = [x for xs in traced for x in xs]
+        return {
+            "elements": len(self.entries),
+            "points": sum(len(e["lengths"]) for e in self.entries),
+            "acts": sum(self.cap if x is ksets.EXCEEDS_CAP else x for x in flat),
+            "points_traced": len(flat),
+            "cap_hits": sum(x is ksets.EXCEEDS_CAP for x in flat),
+            "early_rejections": sum(
+                e["outcome"] == OUTCOME_UGLY_STEP and len(xs) == 1
+                for e, xs in zip(self.entries, traced)
+            ),
+        }
 
 
 def orbit_length(act: Callable[[Any, Any], Any], point, element, cap: int):
@@ -174,14 +207,15 @@ def find_m_cycle(
     accepted by trace_cycle, else FAIL.
 
     The accepted trial is recorded "good" in the transcript, the rejected
-    ones "ugly-step".  Returns (element or FAIL, Transcript).
+    ones "ugly-step"; the transcript keeps the tracing cap rm, so its
+    ``cost()`` can count acts.  Returns (element or FAIL, Transcript).
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     if M < 4:
         raise ValueError("M must be at least 4")
     N = trial_budget(params.n, eps)
-    transcript = Transcript()
+    transcript = Transcript(cap=params.r * params.m)
     for i in range(1, N + 1):
         g = oracle.random_element(rng)
         outcome = trace_cycle(g, params, M, oracle, rng)

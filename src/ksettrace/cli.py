@@ -133,6 +133,7 @@ def cmd_find_mcycle(opts: dict, out) -> int:
     )
     for line in transcript.lines():
         print(line, file=out)
+    print("# cost: " + json.dumps(transcript.cost()), file=out)
     if result is algorithms.FAIL:
         print("result: Fail", file=out)
     else:

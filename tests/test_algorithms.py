@@ -19,6 +19,74 @@ def line1(n):
     return families.line_params(SYM, n, families.LONG_CYCLE)
 
 
+def line_cells(n_max=30):
+    """(params, k) for every line at each n <= n_max its congruence admits,
+    with k = 2 and k = n // 2."""
+    cells = []
+    for line in families.LINES:
+        for n in range(7, n_max + 1):
+            try:
+                params = families.line_params_by_line(line, n)
+            except ValueError:
+                continue
+            cells += [(params, k) for k in sorted({2, n // 2})]
+    return cells
+
+
+class ReferenceOracle(algorithms.TestbedOracle):
+    """The testbed oracle on sorted KSubset points, moved by ksets.image."""
+
+    def random_point(self, rng):
+        return ksets.random_ksubset(self.params.n, self.k, rng)
+
+    def act(self, point, element):
+        return ksets.image(point, element)
+
+
+class CountingOracle(algorithms.GroupOracle):
+    """Delegates to another oracle and counts its calls.  A trace is the run
+    of acts that starts at a point drawn for the current element; it hit the
+    cap if its last image is not its start."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.elements = self.points = self.acts = 0
+        self.drawn = []
+        self.traces = []  # per element, [start, acts, closed] per traced point
+
+    def random_element(self, rng):
+        self.elements += 1
+        self.drawn = []
+        self.traces.append([])
+        return self.inner.random_element(rng)
+
+    def random_point(self, rng):
+        self.points += 1
+        self.drawn.append(self.inner.random_point(rng))
+        return self.drawn[-1]
+
+    def act(self, point, element):
+        self.acts += 1
+        if any(point is p for p in self.drawn):
+            self.traces[-1].append([point, 0, False])
+        trace = self.traces[-1][-1]
+        image = self.inner.act(point, element)
+        trace[1] += 1
+        trace[2] = image == trace[0]
+        return image
+
+    def totals(self):
+        traces = [t for ts in self.traces for t in ts]
+        return {
+            "elements": self.elements,
+            "points": self.points,
+            "acts": self.acts,
+            "points_traced": len(traces),
+            "cap_hits": sum(not closed for _, _, closed in traces),
+            "early_rejections": sum(len(ts) == 1 for ts in self.traces),
+        }
+
+
 class TestTestbedOracle:
     def test_action_laws(self):
         params = line1(12)
@@ -35,6 +103,22 @@ class TestTestbedOracle:
             make_testbed_oracle(line1(10), 6)
         with pytest.raises(ValueError):
             make_testbed_oracle(line1(10), 1)
+
+    def test_degree_mismatch(self):
+        oracle = make_testbed_oracle(line1(10), 2)
+        pt = oracle.random_point(random.Random(0))
+        for n in (9, 11):
+            with pytest.raises(perms.DegreeMismatchError):
+                oracle.act(pt, Permutation.identity(n))
+
+    def test_random_point_domain(self):
+        rng = random.Random(5)
+        for params, k in line_cells(16):
+            oracle = make_testbed_oracle(params, k)
+            for _ in range(20):
+                pt = oracle.random_point(rng)
+                assert isinstance(pt, frozenset) and len(pt) == k
+                assert all(type(x) is int and 0 <= x < params.n for x in pt)
 
     def test_backdoor(self):
         oracle = make_testbed_oracle(line1(10), 2)
@@ -97,7 +181,12 @@ class TestFindMCycle:
         rng = random.Random(0)
         result, transcript = find_m_cycle(params, 0.5, 4, TrivialOracle(), rng)
         assert result is FAIL
-        assert len(transcript.entries) == trial_budget(10, 0.5)
+        n = trial_budget(10, 0.5)
+        assert len(transcript.entries) == n
+        assert transcript.cost() == {
+            "elements": n, "points": 4 * n, "acts": n, "points_traced": n,
+            "cap_hits": 0, "early_rejections": n,
+        }
 
     def test_budget_formula(self):
         assert trial_budget(50, 0.1) == math.ceil(250 * math.log(20))
@@ -110,7 +199,7 @@ class TestFindMCycle:
         result, transcript = find_m_cycle(params, 0.2, 4, oracle, rng)
         assert result is not FAIL
         # transcript outcome lines are well formed
-        assert transcript.entries[-1]["outcome"] in ("good", "bad")
+        assert transcript.entries[-1]["outcome"] == algorithms.OUTCOME_GOOD
         for line in transcript.lines():
             assert line.count(",") >= 2
 
@@ -127,3 +216,46 @@ class TestFindMCycle:
             find_m_cycle(line1(10), 1.5, 4, TrivialOracle(), random.Random(0))
         with pytest.raises(ValueError):
             find_m_cycle(line1(10), 0.1, 3, TrivialOracle(), random.Random(0))
+
+
+class TestFastPathMatchesReference:
+    """The frozenset oracle against the sorted KSubset reference, on all
+    nine lines."""
+
+    def test_act_matches_image(self):
+        rng = random.Random(12)
+        for params, k in line_cells():
+            oracle = make_testbed_oracle(params, k)
+            for _ in range(10):
+                g = oracle.random_element(rng)
+                ref = ksets.random_ksubset(params.n, k, rng)
+                pt = frozenset(ref.points)
+                for _ in range(5):
+                    ref, pt = ksets.image(ref, g), oracle.act(pt, g)
+                    assert frozenset(ref.points) == pt
+
+    def test_find_m_cycle_matches(self):
+        cells = line_cells()
+        for params, k in cells:
+            ns = [p.n for p, _ in cells if p.line == params.line]
+            if params.n not in (ns[0], ns[-1]):
+                continue
+            for seed in range(2):
+                fast = find_m_cycle(params, 0.2, 4, make_testbed_oracle(params, k),
+                                    random.Random(seed))
+                slow = find_m_cycle(params, 0.2, 4, ReferenceOracle(params, k),
+                                    random.Random(seed))
+                assert fast[0] == slow[0]
+                assert fast[1].lines() == slow[1].lines()
+
+
+class TestTranscriptCost:
+    def test_matches_counting_oracle(self):
+        for params, k in line_cells(24)[::3]:
+            budget = trial_budget(params.n, 0.2)
+            for seed in range(2):
+                oracle = CountingOracle(make_testbed_oracle(params, k))
+                _, transcript = find_m_cycle(params, 0.2, 4, oracle, random.Random(seed))
+                assert transcript.cap == params.r * params.m
+                assert transcript.cost() == oracle.totals()
+                assert oracle.acts <= budget * 4 * transcript.cap
