@@ -3,12 +3,11 @@ with exact combinatorial oracles, explicit probability bounds, and a
 Monte Carlo experiment harness."""
 
 from .families import LineParams, line_params
-from .ksets import EXCEEDS_CAP, KSubset, cycle_length_exact
+from .ksets import EXCEEDS_CAP, cycle_length_exact
 from .perms import ALT, SYM, Permutation
 
 __all__ = [
     "Permutation",
-    "KSubset",
     "LineParams",
     "line_params",
     "cycle_length_exact",

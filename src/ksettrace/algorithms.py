@@ -37,10 +37,10 @@ class GroupOracle:
 class TestbedOracle(GroupOracle):
     """Oracle realized by Sym(n) or Alt(n) acting on k-subsets.
 
-    Points are frozensets of k ints in 0..n-1, drawn by the same
-    ``rng.sample`` call as ``ksets.random_ksubset``; the sorted ``KSubset``
-    and ``ksets.image`` are their slow reference, and the detector reads
-    points only through ``act`` and ``!=``.
+    Points are frozensets of k ints in 0..n-1, drawn by
+    ``ksets.random_ksubset``.  ``act`` is ``ksets.image`` inlined, with a
+    degree check that only the oracle can make, since a point does not
+    carry n; the detector reads points only through ``act`` and ``!=``.
 
     ``natural(element)`` exposes the underlying degree-n permutation; it is
     for experiment labelling only and is never read by the algorithms here.
@@ -57,7 +57,7 @@ class TestbedOracle(GroupOracle):
         return perms.random_element(self.params.group, self.params.n, rng)
 
     def random_point(self, rng) -> frozenset[int]:
-        return frozenset(rng.sample(range(self.params.n), self.k))
+        return ksets.random_ksubset(self.params.n, self.k, rng)
 
     def act(self, point: frozenset[int], element: perms.Permutation) -> frozenset[int]:
         images = element.images

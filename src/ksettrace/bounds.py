@@ -119,32 +119,13 @@ def c_delta_search(delta: Fraction, x_limit: int = 10**9) -> tuple[float, int]:
 
 
 @mpmath.workdps(60)
-def a_delta_eval(
-    c_delta: float,
-    s: Fraction,
-    delta: Fraction,
-    variant: str = "eq5-at-150",
-    rm: int | None = None,
-) -> dict:
-    """a_delta = (5/4)(1 + 3 c/q + (c/q)^2) with q = 150^(s-delta); variant
-    'fixed-25/4' returns 25/4 together with the truth value of its validity
-    condition rm >= c_delta^(1/(s-delta))."""
+def a_delta_eval(c_delta: float, s: Fraction, delta: Fraction) -> float:
+    """a_delta = (5/4)(1 + 3 c/q + (c/q)^2) with q = 150^(s-delta)."""
     s, delta = Fraction(s), Fraction(delta)
     if not s > delta:
         raise ValueError("need s > delta")
-    exp = _mpf(s - delta)
-    if variant == "eq5-at-150":
-        q = mpmath.mpf(150) ** exp
-    elif variant == "fixed-25/4":
-        cond = None
-        if rm is not None:
-            cond = mpmath.mpf(rm) >= mpmath.mpf(c_delta) ** (1 / exp)
-        return {"value": 6.25, "variant": variant, "condition_rm_large_enough": cond}
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    ratio = mpmath.mpf(c_delta) / q
-    val = mpmath.mpf(5) / 4 * (1 + 3 * ratio + ratio**2)
-    return {"value": float(val), "variant": variant, "condition_rm_large_enough": None}
+    ratio = mpmath.mpf(c_delta) / mpmath.mpf(150) ** _mpf(s - delta)
+    return float(mpmath.mpf(5) / 4 * (1 + 3 * ratio + ratio**2))
 
 
 @mpmath.workdps(60)

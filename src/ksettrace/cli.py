@@ -108,7 +108,7 @@ def cmd_trace(opts: dict, out) -> int:
         params = _line(opts)
         cap = params.r * params.m
     g = perms.Permutation.parse(opts["perm"], n=n)
-    gamma = ksets.KSubset.parse(opts["subset"], n=n)
+    gamma = ksets.parse_ksubset(opts["subset"], n)
     traced = algorithms.orbit_length(ksets.image, gamma, g, cap)
     exact = ksets.cycle_length_exact(gamma, g)
     print(f"traced: {traced}", file=out)
@@ -222,7 +222,7 @@ def cmd_bounds(opts: dict, out) -> int:
     if "adelta" in opts:
         a_delta = opts["adelta"]
     else:
-        a_delta = bounds.a_delta_eval(c_delta, s, delta)["value"]
+        a_delta = bounds.a_delta_eval(c_delta, s, delta)
     b_M = bounds.b_M_eval(M, s, delta, opts.get("r", 1), c_delta, a_delta)
     print(f"c_delta: {c_delta}", file=out)
     print(f"a_delta: {a_delta}", file=out)

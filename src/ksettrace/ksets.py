@@ -1,9 +1,12 @@
 """The induced action of a degree-n permutation on k-element subsets.
 
-The exact orbit-length engine, `layout_orbit_length`, takes the lcm of the
-rotation periods of cycles laid out as consecutive blocks, and
-`cycle_length_exact` relabels a permutation into that layout; its slow
-reference is capped tracing through `image`, `algorithms.orbit_length`.
+A k-subset of {0..n-1} is a frozenset of k ints: `random_ksubset` draws
+one uniformly, `parse_ksubset` reads the 1-based text form and `image`
+moves one pointwise.  The exact orbit-length engine, `layout_orbit_length`,
+takes the lcm of the rotation periods of cycles laid out as consecutive
+blocks, and `cycle_length_exact` relabels a permutation into that layout;
+its slow reference is capped tracing through `image`,
+`algorithms.orbit_length`.
 One counting kernel, `orbit_length_counts`, counts k-subsets by orbit
 length over the divisors of rm; the exact pass fraction pi_g
 (`good_ksubset_fraction`) and `combinatorics.sigma_Sigma` both read it.
@@ -13,13 +16,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 from .families import accepted_lengths, divisors
-from .perms import DegreeMismatchError, Permutation
+from .perms import Permutation
 
 
 class ExceedsCap:
@@ -42,61 +44,28 @@ EXCEEDS_CAP = ExceedsCap()
 DEFAULT_ENUMERATION_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class KSubset:
-    """A sorted k-element subset of {0..n-1}."""
-
-    n: int
-    points: tuple[int, ...]
-
-    def __post_init__(self):
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        if not 1 <= len(pts) <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={len(pts)}, n={self.n}")
-        if any(isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < self.n for x in pts):
-            raise ValueError(f"points {pts!r} are not integers in 0..{self.n - 1}")
-        if any(a >= b for a, b in zip(pts, pts[1:])):
-            raise ValueError(f"points {pts!r} not strictly increasing")
-
-    @classmethod
-    def _trusted(cls, n: int, points: tuple[int, ...]) -> "KSubset":
-        """Unchecked, for 1 <= k <= n increasing points of 0..n-1 by construction."""
-        s = object.__new__(cls)
-        s.__dict__.update(n=n, points=points)
-        return s
-
-    @property
-    def k(self) -> int:
-        return len(self.points)
-
-    @classmethod
-    def of(cls, n: int, points: Iterable[int]) -> "KSubset":
-        return cls(n, tuple(sorted(points)))
-
-    @classmethod
-    def parse(cls, text: str, n: int) -> "KSubset":
-        """Parse 1-based text form ``{1,4,7}``."""
-        text = text.strip()
-        if not (text.startswith("{") and text.endswith("}")):
-            raise ValueError(f"malformed subset {text!r}")
-        try:
-            vals = [int(tok) for tok in text[1:-1].split(",")]
-        except ValueError as exc:
-            raise ValueError(f"malformed subset {text!r}") from exc
-        return cls.of(n, (v - 1 for v in vals))
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(x + 1) for x in self.points) + "}"
+def parse_ksubset(text: str, n: int) -> frozenset[int]:
+    """Parse the 1-based text form ``{1,4,7}`` of a nonempty subset of
+    {1..n} into its 0-based frozenset."""
+    body = text.strip()
+    if not (body.startswith("{") and body.endswith("}")):
+        raise ValueError(f"malformed subset {text!r}")
+    if not body[1:-1].strip():
+        raise ValueError("empty subset")
+    try:
+        vals = [int(tok) for tok in body[1:-1].split(",")]
+    except ValueError as exc:
+        raise ValueError(f"malformed subset {text!r}") from exc
+    if len(set(vals)) < len(vals):
+        raise ValueError(f"repeated point in subset {text!r}")
+    if not all(1 <= v <= n for v in vals):
+        raise ValueError(f"subset {text!r} has points outside 1..{n}")
+    return frozenset(v - 1 for v in vals)
 
 
-def image(gamma: KSubset, g: Permutation) -> KSubset:
-    """Pointwise image of the subset, re-sorted."""
-    if gamma.n != g.n:
-        raise DegreeMismatchError(
-            f"subset degree {gamma.n} does not match permutation degree {g.n}"
-        )
-    return KSubset._trusted(gamma.n, tuple(sorted([g.images[x] for x in gamma.points])))
+def image(gamma: frozenset[int], g: Permutation) -> frozenset[int]:
+    """Pointwise image of the subset."""
+    return frozenset(map(g.images.__getitem__, gamma))
 
 
 def rotation_period(cycle_length: int, positions) -> int:
@@ -120,27 +89,26 @@ def _rotation_period(t: int, pos: frozenset[int]) -> int:
     return t
 
 
-def cycle_length_exact(gamma: KSubset, g: Permutation) -> int:
+def cycle_length_exact(gamma: frozenset[int], g: Permutation) -> int:
     """Orbit length of the subset under <g>.  Relabelling each point by its
     place in g's cycles laid end to end turns g into the block layout of
     `layout_orbit_length`, and orbit lengths do not change under relabelling."""
-    if gamma.n != g.n:
-        raise DegreeMismatchError(
-            f"subset degree {gamma.n} does not match permutation degree {g.n}"
-        )
+    if any(isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < g.n for x in gamma):
+        raise ValueError(f"points {set(gamma)!r} are not integers in 0..{g.n - 1}")
     cycles = g.cycles()
     place = [0] * g.n
     for i, x in enumerate(chain.from_iterable(cycles)):
         place[x] = i
     bounds = list(accumulate((len(c) for c in cycles), initial=0))
-    return layout_orbit_length(sorted([place[p] for p in gamma.points]), bounds)
+    return layout_orbit_length([place[p] for p in gamma], bounds)
 
 
-def layout_orbit_length(points: Sequence[int], bounds: Sequence[int]) -> int:
-    """Orbit length of a set of points, given increasing, under the
-    permutation whose cycles are the blocks bounds[b] .. bounds[b+1]-1 of
-    0..n-1 (bounds runs from 0 to n), each point mapped to the next one in
-    its block: the lcm of the rotation periods of the blocks it meets."""
+def layout_orbit_length(points: Iterable[int], bounds: Sequence[int]) -> int:
+    """Orbit length of a set of points under the permutation whose cycles
+    are the blocks bounds[b] .. bounds[b+1]-1 of 0..n-1 (bounds runs from 0
+    to n), each point mapped to the next one in its block: the lcm of the
+    rotation periods of the blocks it meets."""
+    points = sorted(points)
     result = 1
     lo = 0
     for start, end in zip(bounds, bounds[1:]):
@@ -152,16 +120,11 @@ def layout_orbit_length(points: Sequence[int], bounds: Sequence[int]) -> int:
     return result
 
 
-def random_ksubset(n: int, k: int, rng) -> KSubset:
+def random_ksubset(n: int, k: int, rng) -> frozenset[int]:
     """Uniform k-subset of {0..n-1} via partial shuffle."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return KSubset._trusted(n, tuple(sorted(rng.sample(range(n), k))))
-
-
-def all_ksubsets(n: int, k: int) -> Iterable[KSubset]:
-    for pts in combinations(range(n), k):
-        yield KSubset(n, pts)
+    return frozenset(rng.sample(range(n), k))
 
 
 def good_ksubset_fraction(g: Permutation, k: int, m: int, r: int) -> Fraction:

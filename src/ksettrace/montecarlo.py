@@ -216,7 +216,7 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
             accepted = True
             for _ in range(config.M):
                 gamma = ksets.random_ksubset(params.n, config.k, rng)
-                if ksets.layout_orbit_length(gamma.points, bounds) not in good_lengths:
+                if ksets.layout_orbit_length(gamma, bounds) not in good_lengths:
                     accepted = False
                     break
             key = (fam, accepted)

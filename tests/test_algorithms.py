@@ -34,13 +34,14 @@ def line_cells(n_max=30):
 
 
 class ReferenceOracle(algorithms.TestbedOracle):
-    """The testbed oracle on sorted KSubset points, moved by ksets.image."""
+    """The testbed oracle on sorted-tuple points, each moved by re-sorting
+    its pointwise image; it shares no code with the frozenset path."""
 
     def random_point(self, rng):
-        return ksets.random_ksubset(self.params.n, self.k, rng)
+        return tuple(sorted(rng.sample(range(self.params.n), self.k)))
 
     def act(self, point, element):
-        return ksets.image(point, element)
+        return tuple(sorted(element.images[x] for x in point))
 
 
 class CountingOracle(algorithms.GroupOracle):
@@ -219,20 +220,22 @@ class TestFindMCycle:
 
 
 class TestFastPathMatchesReference:
-    """The frozenset oracle against the sorted KSubset reference, on all
-    nine lines."""
+    """The frozenset oracle and ksets.image against the sorted-tuple
+    reference, on all nine lines."""
 
     def test_act_matches_image(self):
         rng = random.Random(12)
         for params, k in line_cells():
             oracle = make_testbed_oracle(params, k)
+            reference = ReferenceOracle(params, k)
             for _ in range(10):
                 g = oracle.random_element(rng)
-                ref = ksets.random_ksubset(params.n, k, rng)
-                pt = frozenset(ref.points)
+                pt = oracle.random_point(rng)
+                ref = tuple(sorted(pt))
                 for _ in range(5):
-                    ref, pt = ksets.image(ref, g), oracle.act(pt, g)
-                    assert frozenset(ref.points) == pt
+                    assert ksets.image(pt, g) == oracle.act(pt, g)
+                    ref, pt = reference.act(ref, g), oracle.act(pt, g)
+                    assert frozenset(ref) == pt
 
     def test_find_m_cycle_matches(self):
         cells = line_cells()

@@ -58,19 +58,12 @@ class TestCDeltaSearch:
 class TestADelta:
     def test_limit(self):
         out = bounds.a_delta_eval(0.0, Fraction(17, 24), Fraction(1, 6))
-        assert abs(out["value"] - 1.25) < 1e-12
-
-    def test_fixed_variant(self):
-        out = bounds.a_delta_eval(
-            138.32, Fraction(17, 24), Fraction(1, 6), variant="fixed-25/4", rm=10**6
-        )
-        assert out["value"] == 6.25
-        assert out["condition_rm_large_enough"] is not None
+        assert abs(out - 1.25) < 1e-12
 
     def test_regression_eq5_at_150(self):
         out = bounds.a_delta_eval(138.32, Fraction(17, 24), Fraction(1, 6))
         # pinned: (5/4)(1 + 3c/q + (c/q)^2) at q = 150^(13/24)
-        assert abs(out["value"] - 140.63577073957444) < 1e-8
+        assert abs(out - 140.63577073957444) < 1e-8
 
 
 class TestBM:

@@ -41,6 +41,15 @@ class TestTrace:
         assert "ExceedsCap" in out
         assert "exact: 6" in out
 
+    @pytest.mark.parametrize("subset", ["{1,4", "{1,1}", "{0,4}", "{1,7}", "{}"])
+    def test_bad_subset_is_usage_error(self, subset):
+        code, out = run(
+            ["trace", "--n", "6", "--cap", "10",
+             "--perm", "(1 2 3 4 5 6)", "--subset", subset]
+        )
+        assert code == 2
+        assert "traced" not in out
+
 
 class TestClassify:
     def test_basic(self):

@@ -2,13 +2,14 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksettrace import algorithms, families, ksets, montecarlo, perms
-from ksettrace.ksets import EXCEEDS_CAP, KSubset
+from ksettrace.ksets import EXCEEDS_CAP
 from ksettrace.perms import SYM, Permutation
 
 from conftest import lay_type
@@ -18,34 +19,54 @@ def six_cycle():
     return Permutation.from_cycles(6, [list(range(6))])
 
 
+def all_ksubsets(n, k):
+    return map(frozenset, combinations(range(n), k))
+
+
 class TestKSubset:
+    """The boundary checks on frozenset points: `parse_ksubset` on text and
+    `cycle_length_exact` on points."""
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            KSubset(5, (3, 1))  # not sorted
-        with pytest.raises(ValueError):
-            KSubset(5, (1, 5))  # out of range
-        with pytest.raises(ValueError):
-            KSubset(5, ())  # empty
+        for text in ["{3,1,3}", "{2,4,2}"]:
+            with pytest.raises(ValueError, match="repeated"):
+                ksets.parse_ksubset(text, 5)
+        for text in ["{0,3}", "{1,6}", "{-1,2}"]:
+            with pytest.raises(ValueError, match="outside 1..5"):
+                ksets.parse_ksubset(text, 5)
+        for text in ["{}", "{ }"]:
+            with pytest.raises(ValueError, match="empty"):
+                ksets.parse_ksubset(text, 5)
+        for text in ["1,4", "{1,4", "1,4}", "{1;4}", "{1,,4}", "{a,2}", "{1.0}"]:
+            with pytest.raises(ValueError, match="malformed"):
+                ksets.parse_ksubset(text, 5)
 
     def test_non_integer_points_rejected(self):
-        for points in [(False, True), (0, True), (0.0, 1)]:
+        g = Permutation.identity(3)
+        for points in [{False, True}, {0, True}, {0.0, 1}, {-1, 0}, {0, 3}]:
             with pytest.raises(ValueError):
-                KSubset(3, points)
+                ksets.cycle_length_exact(frozenset(points), g)
 
     def test_text_roundtrip(self):
-        gamma = KSubset.of(8, [0, 3, 6])
-        assert str(gamma) == "{1,4,7}"
-        assert KSubset.parse("{1,4,7}", 8) == gamma
+        gamma = frozenset({0, 3, 6})
+        assert ksets.parse_ksubset("{1,4,7}", 8) == gamma
+        assert ksets.parse_ksubset(" {7, 1,4} ", 8) == gamma
+        rng = random.Random(6)
+        for _ in range(50):
+            n = rng.randint(1, 12)
+            gamma = ksets.random_ksubset(n, rng.randint(1, n), rng)
+            text = "{" + ",".join(str(x + 1) for x in sorted(gamma)) + "}"
+            assert ksets.parse_ksubset(text, n) == gamma
 
 
 class TestImage:
     def test_identity(self):
-        gamma = KSubset.of(5, [0, 1])
+        gamma = frozenset({0, 1})
         assert ksets.image(gamma, Permutation.identity(5)) == gamma
 
     def test_pointwise(self):
-        gamma = KSubset.of(6, [0, 3])
-        assert ksets.image(gamma, six_cycle()) == KSubset.of(6, [1, 4])
+        gamma = frozenset({0, 3})
+        assert ksets.image(gamma, six_cycle()) == frozenset({1, 4})
 
     def test_action_law(self):
         rng = random.Random(4)
@@ -53,10 +74,6 @@ class TestImage:
             g = perms.random_element(SYM, 9, rng)
             gamma = ksets.random_ksubset(9, 4, rng)
             assert ksets.image(ksets.image(gamma, g), g.inverse()) == gamma
-
-    def test_degree_mismatch(self):
-        with pytest.raises(perms.DegreeMismatchError):
-            ksets.image(KSubset.of(5, [0]), Permutation.identity(6))
 
 
 def trace(gamma, g, cap):
@@ -66,23 +83,23 @@ def trace(gamma, g, cap):
 
 class TestTrace:
     def test_identity_cap_one(self):
-        assert trace(KSubset.of(4, [1, 2]), Permutation.identity(4), 1) == 1
+        assert trace(frozenset({1, 2}), Permutation.identity(4), 1) == 1
 
     def test_antipodal_pair(self):
-        assert trace(KSubset.of(6, [0, 3]), six_cycle(), 10) == 3
+        assert trace(frozenset({0, 3}), six_cycle(), 10) == 3
 
     def test_exceeds_cap(self):
         # the pattern 110100 on a 6-cycle is aperiodic: true length 6 > cap 2
-        out = trace(KSubset.of(6, [0, 1, 3]), six_cycle(), 2)
+        out = trace(frozenset({0, 1, 3}), six_cycle(), 2)
         assert out is EXCEEDS_CAP
 
     def test_cap_exact_boundary(self):
-        assert trace(KSubset.of(6, [0, 1, 3]), six_cycle(), 6) == 6
+        assert trace(frozenset({0, 1, 3}), six_cycle(), 6) == 6
 
     def test_cap_below_one_rejected(self):
         for cap in (0, -1):
             with pytest.raises(ValueError):
-                trace(KSubset.of(6, [0, 3]), six_cycle(), cap)
+                trace(frozenset({0, 3}), six_cycle(), cap)
 
 
 class TestRotationPeriod:
@@ -112,11 +129,11 @@ class TestRotationPeriod:
 
 class TestExactEngine:
     def test_identity(self):
-        assert ksets.cycle_length_exact(KSubset.of(7, [0, 4]), Permutation.identity(7)) == 1
+        assert ksets.cycle_length_exact(frozenset({0, 4}), Permutation.identity(7)) == 1
 
     def test_lcm_across_cycles(self):
         g = Permutation.from_cycles(7, [[0, 1, 2, 3, 4], [5, 6]])
-        assert ksets.cycle_length_exact(KSubset.of(7, [0, 5]), g) == 10
+        assert ksets.cycle_length_exact(frozenset({0, 5}), g) == 10
 
     def test_divides_order(self):
         rng = random.Random(2)
@@ -149,7 +166,7 @@ class TestExactEngine:
 class TestRandomKSubset:
     def test_full_set(self):
         rng = random.Random(1)
-        assert ksets.random_ksubset(5, 5, rng) == KSubset.of(5, range(5))
+        assert ksets.random_ksubset(5, 5, rng) == frozenset(range(5))
 
     def test_uniform_chi_square(self):
         rng = random.Random(12)
@@ -184,7 +201,7 @@ class TestCountBad:
                 total = math.comb(10, k)
                 bad = (1 - ksets.good_ksubset_fraction(g, k, lp.m, lp.r)) * total
                 brute_bad = 0
-                for gamma in ksets.all_ksubsets(10, k):
+                for gamma in all_ksubsets(10, k):
                     c = ksets.cycle_length_exact(gamma, g)
                     if not (c % lp.m == 0 and lp.r % (c // lp.m) == 0):
                         brute_bad += 1
@@ -294,7 +311,7 @@ class TestCountingKernel:
         rm = lp.r * lp.m
         for k in range(1, lp.n + 1):
             brute = Counter(
-                ksets.cycle_length_exact(gamma, g) for gamma in ksets.all_ksubsets(lp.n, k)
+                ksets.cycle_length_exact(gamma, g) for gamma in all_ksubsets(lp.n, k)
             )
             expected = {length: cnt for length, cnt in brute.items() if rm % length == 0}
             assert ksets.orbit_length_counts(g.cycle_type(), k, rm) == expected
@@ -344,7 +361,7 @@ class TestFastPaths:
         for g in elements:
             order = g.order()
             for k in range(1, lp.n + 1):
-                for gamma in ksets.all_ksubsets(lp.n, k):
+                for gamma in all_ksubsets(lp.n, k):
                     exact = ksets.cycle_length_exact(gamma, g)
                     assert exact == trace(gamma, g, order)
 
@@ -366,7 +383,7 @@ class TestFastPaths:
         assert sorted(g.cycle_type()) == sorted(parts)
         for _ in range(5):
             gamma = ksets.random_ksubset(lp.n, rng.randint(1, lp.n), rng)
-            length = ksets.layout_orbit_length(gamma.points, bounds)
+            length = ksets.layout_orbit_length(gamma, bounds)
             assert length == ksets.cycle_length_exact(gamma, g) == trace(gamma, g, g.order())
 
     @pytest.mark.parametrize("line", range(1, 10))
@@ -380,4 +397,6 @@ class TestFastPaths:
         for p in (g, h, g.compose(h), h * g, g.inverse(), g**e, h**e):
             assert Permutation(p.images) == p
         for s in (gamma, ksets.image(gamma, g), ksets.image(gamma, h)):
-            assert KSubset(lp.n, s.points) == s
+            assert type(s) is frozenset and len(s) == len(gamma)
+            assert all(type(x) is int and 0 <= x < lp.n for x in s)
+            ksets.cycle_length_exact(s, g)  # raises on a point it rejects
