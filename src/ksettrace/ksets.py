@@ -1,12 +1,15 @@
 """The induced action of a degree-n permutation on k-element subsets.
 
-A k-subset of {0..n-1} is a frozenset of k ints: `random_ksubset` draws
-one uniformly, `parse_ksubset` reads the 1-based text form and `image`
-moves one pointwise.  The exact orbit-length engine, `layout_orbit_length`,
+A k-subset of {0..n-1} has two forms.  At the black-box oracle it is a
+frozenset of k ints: `random_ksubset` draws one uniformly, `parse_ksubset`
+reads the 1-based text form and `image` moves one pointwise.  In the
+conditional harness it is an n-bit int mask, bit x set for point x:
+`random_kmask` draws one uniformly with few calls to the generator, and the
+exact orbit-length engine, `layout_orbit_length`, reads it.  That engine
 takes the lcm of the rotation periods of cycles laid out as consecutive
-blocks, and `cycle_length_exact` relabels a permutation into that layout;
-its slow reference is capped tracing through `image`,
-`algorithms.orbit_length`.
+blocks, each found by shifting a block's bits and comparing;
+`cycle_length_exact` relabels a permutation into that layout, and its slow
+reference is capped tracing through `image`, `algorithms.orbit_length`.
 One counting kernel, `orbit_length_counts`, counts k-subsets by orbit
 length over the divisors of rm; the exact pass fraction pi_g
 (`good_ksubset_fraction`) and `combinatorics.sigma_Sigma` both read it.
@@ -15,10 +18,9 @@ length over the divisors of rm; the exact pass fraction pi_g
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .families import accepted_lengths, divisors
 from .perms import Permutation
@@ -76,15 +78,17 @@ def rotation_period(cycle_length: int, positions) -> int:
     pos = frozenset(positions)
     if any(not 0 <= x < cycle_length for x in pos):
         raise ValueError("positions must be residues mod cycle_length")
-    return _rotation_period(cycle_length, pos)
+    return _rotation_period(cycle_length, sum(1 << x for x in pos))
 
 
-def _rotation_period(t: int, pos: frozenset[int]) -> int:
-    # a d-periodic set must distribute evenly over the t//d shift-classes,
-    # so d is a multiple of t // gcd(|pos|, t); every set has period t
-    step = t // math.gcd(len(pos), t)
+def _rotation_period(t: int, bits: int) -> int:
+    # bits is a t-bit mask of positions; a d-periodic set must distribute
+    # evenly over the t//d shift-classes, so d is a multiple of
+    # t // gcd(|pos|, t); every set has period t
+    full = (1 << t) - 1
+    step = t // math.gcd(bits.bit_count(), t)
     for d in range(step, t, step):
-        if t % d == 0 and all((x + d) % t in pos for x in pos):
+        if t % d == 0 and ((bits << d) | (bits >> (t - d))) & full == bits:
             return d
     return t
 
@@ -100,23 +104,24 @@ def cycle_length_exact(gamma: frozenset[int], g: Permutation) -> int:
     for i, x in enumerate(chain.from_iterable(cycles)):
         place[x] = i
     bounds = list(accumulate((len(c) for c in cycles), initial=0))
-    return layout_orbit_length([place[p] for p in gamma], bounds)
+    return layout_orbit_length(sum(1 << place[p] for p in gamma), bounds)
 
 
-def layout_orbit_length(points: Iterable[int], bounds: Sequence[int]) -> int:
-    """Orbit length of a set of points under the permutation whose cycles
-    are the blocks bounds[b] .. bounds[b+1]-1 of 0..n-1 (bounds runs from 0
-    to n), each point mapped to the next one in its block: the lcm of the
-    rotation periods of the blocks it meets."""
-    points = sorted(points)
+def layout_orbit_length(mask: int, bounds: Sequence[int]) -> int:
+    """Orbit length of the point set with mask `mask` (bit x for point x)
+    under the permutation whose cycles are the blocks bounds[b] ..
+    bounds[b+1]-1 of 0..n-1 (bounds runs from 0 to n), each point mapped to
+    the next one in its block: the lcm of the rotation periods of the blocks
+    it meets."""
     result = 1
-    lo = 0
     for start, end in zip(bounds, bounds[1:]):
-        hi = bisect_left(points, end, lo)
-        if hi > lo:
-            offsets = frozenset([p - start for p in points[lo:hi]])
-            result = math.lcm(result, _rotation_period(end - start, offsets))
-            lo = hi
+        rest = mask >> start
+        if not rest:
+            break
+        t = end - start
+        bits = rest & ((1 << t) - 1)
+        if bits:
+            result = math.lcm(result, _rotation_period(t, bits))
     return result
 
 
@@ -125,6 +130,42 @@ def random_ksubset(n: int, k: int, rng) -> frozenset[int]:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     return frozenset(rng.sample(range(n), k))
+
+
+def random_kmask(n: int, k: int, rng) -> int:
+    """Uniform k-subset of {0..n-1} as an n-bit mask, bit x set for point x.
+
+    If 3k <= n this is the mask of `rng.sample(range(n), k)`, the draw of
+    `random_ksubset`, so seeded streams agree.  Otherwise it starts from
+    `rng.getrandbits(n)`, a fair coin per point, then sets uniformly drawn
+    unset points, or clears uniformly drawn set points (`rng.randrange(n)`
+    with rejection), until exactly k are set; near k = n/2 that takes
+    O(sqrt n) calls instead of k.  The start is exchangeable and every
+    fix-up step treats all points alike, so the law of the result is
+    invariant under Sym(n); that group is transitive on k-subsets, so each
+    is equally likely.  The two draws cost about the same near k = 0.35n,
+    hence the switch at 3k = n.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if 3 * k <= n:
+        mask = 0
+        for x in rng.sample(range(n), k):
+            mask |= 1 << x
+        return mask
+    mask = rng.getrandbits(n)
+    count = mask.bit_count()
+    while count < k:
+        bit = 1 << rng.randrange(n)
+        if not mask & bit:
+            mask |= bit
+            count += 1
+    while count > k:
+        bit = 1 << rng.randrange(n)
+        if mask & bit:
+            mask ^= bit
+            count -= 1
+    return mask
 
 
 def good_ksubset_fraction(g: Permutation, k: int, m: int, r: int) -> Fraction:

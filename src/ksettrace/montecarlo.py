@@ -6,6 +6,7 @@ exact small-v cycle-structure proportions, and CSV report emission.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -111,6 +112,7 @@ class SummaryStats:
     good: int = 0
     bad: int = 0
     ugly: int = 0
+    cost: dict = field(default_factory=dict)  # Transcript.cost() summed over runs
 
     @property
     def trials(self) -> int:
@@ -175,21 +177,30 @@ def sample_type(group: str, n: int, rng) -> list[int]:
             return parts
 
 
+@functools.lru_cache(maxsize=128)
+def _ngood_table(group: str, n: int, m: int, r: int) -> tuple[tuple, tuple]:
+    """The types of `families.ngood_types` and their cumulative 1/z weights,
+    as immutable tuples, since every caller shares them."""
+    types = tuple(families.ngood_types(group, n, m, r))
+    # float weights: n!/z overflows a float once n > 170
+    return types, tuple(accumulate(1 / families.centralizer_order(t) for t in types))
+
+
 def sample_ngood(params: LineParams, rng) -> tuple[int, ...]:
     """Cycle lengths of a uniform element of N_good: a type of
     `families.ngood_types`, drawn with weight 1/z (its class holds n!/z
     elements)."""
-    types = list(families.ngood_types(params.group, params.n, params.m, params.r))
-    # float weights: n!/z overflows a float once n > 170
-    (parts,) = rng.choices(types, [1 / families.centralizer_order(t) for t in types])
+    types, cum = _ngood_table(params.group, params.n, params.m, params.r)
+    (parts,) = rng.choices(types, cum_weights=cum)
     return parts
 
 
 def run_conditional(config: ExperimentConfig) -> SummaryStats:
     """Draw cycle types of elements (uniform in G by `sample_type`, or
     uniform in N_good by `sample_ngood` when config.condition == 'ngood'),
-    classify each, run the point-tracing test on uniform k-subsets, and
-    tally family-by-outcome counts.
+    classify each, run the point-tracing test on uniform k-subsets (drawn
+    as bit masks by `ksets.random_kmask`), and tally family-by-outcome
+    counts.
 
     Every tally is a class function, so no permutation is built: the cycles
     are laid on 0..n-1 as consecutive blocks, and a uniform k-subset has
@@ -215,7 +226,7 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
             # cannot equal r0*m, and the exact engine is far cheaper here
             accepted = True
             for _ in range(config.M):
-                gamma = ksets.random_ksubset(params.n, config.k, rng)
+                gamma = ksets.random_kmask(params.n, config.k, rng)
                 if ksets.layout_orbit_length(gamma, bounds) not in good_lengths:
                     accepted = False
                     break
@@ -231,7 +242,7 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
 def run_findmcycle(config: ExperimentConfig) -> SummaryStats:
     """Repeat the full detection loop config.trials times; label each run
     good (returned element has an m-cycle), bad (it does not), or ugly
-    (no element returned)."""
+    (no element returned).  stats.cost sums each run's `Transcript.cost()`."""
     config.validate()
     params = config.line()
     oracle = algorithms.make_testbed_oracle(params, config.k)
@@ -239,7 +250,10 @@ def run_findmcycle(config: ExperimentConfig) -> SummaryStats:
     for worker, wtrials in enumerate(_split_trials(config.trials, config.workers)):
         rng = _worker_rng(config.seed, worker)
         for _ in range(wtrials):
-            result, _ = algorithms.find_m_cycle(params, config.eps, config.M, oracle, rng)
+            result, transcript = algorithms.find_m_cycle(
+                params, config.eps, config.M, oracle, rng)
+            for key, val in transcript.cost().items():
+                stats.cost[key] = stats.cost.get(key, 0) + val
             if result is algorithms.FAIL:
                 stats.ugly += 1
             elif families.in_N(oracle.natural(result), params):

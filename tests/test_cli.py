@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ksettrace import cli, families
+from ksettrace import cli, families, montecarlo, perms
 
 
 def run(argv):
@@ -82,6 +82,20 @@ class TestSeedPolicy:
              "--k", "2", "--trials", "10"]
         )
         assert code == 2
+
+
+class TestExperimentCost:
+    def test_findmcycle_prints_cost_totals(self):
+        code, out = run(
+            ["experiment", "--group", "sym", "--n", "20", "--goal", "long-cycle", "--k", "2",
+             "--trials", "6", "--eps", "0.3", "--seed", "3", "--mode", "findmcycle"]
+        )
+        assert code == 0
+        config = montecarlo.ExperimentConfig(
+            group=perms.SYM, n=20, goal=families.LONG_CYCLE, k=2, trials=6, eps=0.3, seed=3,
+            mode="findmcycle")
+        (line,) = [x for x in out.splitlines() if x.startswith("# cost: ")]
+        assert json.loads(line[len("# cost: "):]) == montecarlo.run_findmcycle(config).cost
 
 
 class TestConfigFile:

@@ -23,6 +23,10 @@ def all_ksubsets(n, k):
     return map(frozenset, combinations(range(n), k))
 
 
+def mask_points(mask, n):
+    return frozenset(x for x in range(n) if mask >> x & 1)
+
+
 class TestKSubset:
     """The boundary checks on frozenset points: `parse_ksubset` on text and
     `cycle_length_exact` on points."""
@@ -181,6 +185,41 @@ class TestRandomKSubset:
         a = [ksets.random_ksubset(12, 4, random.Random(3)) for _ in range(10)]
         b = [ksets.random_ksubset(12, 4, random.Random(3)) for _ in range(10)]
         assert a == b
+
+
+class TestRandomKMask:
+    @pytest.mark.parametrize("n, k", [(8, 2), (9, 3), (8, 4), (9, 4), (7, 6)])
+    def test_uniform_chi_square(self, n, k):
+        # every k-subset, on both sides of the switch at 3k = n
+        rng = random.Random(21)
+        cells = math.comb(n, k)
+        draws = 400 * cells
+        counts = Counter(ksets.random_kmask(n, k, rng) for _ in range(draws))
+        assert all(m.bit_count() == k and m >> n == 0 for m in counts)
+        assert len(counts) == cells
+        expected = draws / cells
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        dof = cells - 1
+        assert chi2 < dof + 4 * math.sqrt(2 * dof)
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (9, 3), (200, 2), (200, 5), (100, 33)])
+    def test_sample_path_matches_random_ksubset(self, n, k):
+        # for 3k <= n the mask is the same rng.sample draw as random_ksubset
+        # and leaves the generator in the same state
+        a, b = random.Random(8), random.Random(8)
+        for _ in range(50):
+            assert mask_points(ksets.random_kmask(n, k, a), n) == ksets.random_ksubset(n, k, b)
+        assert a.getstate() == b.getstate()
+
+    def test_full_set(self):
+        rng = random.Random(1)
+        assert ksets.random_kmask(5, 5, rng) == 0b11111
+
+    def test_rejects_k_outside_range(self):
+        rng = random.Random(1)
+        for n, k in [(5, 0), (5, 6), (5, -1), (1, 2)]:
+            with pytest.raises(ValueError):
+                ksets.random_kmask(n, k, rng)
 
 
 class TestCountBad:
@@ -382,9 +421,13 @@ class TestFastPaths:
         g = Permutation.from_cycles(lp.n, [range(a, b) for a, b in zip(bounds, bounds[1:])])
         assert sorted(g.cycle_type()) == sorted(parts)
         for _ in range(5):
-            gamma = ksets.random_ksubset(lp.n, rng.randint(1, lp.n), rng)
-            length = ksets.layout_orbit_length(gamma, bounds)
-            assert length == ksets.cycle_length_exact(gamma, g) == trace(gamma, g, g.order())
+            # a k of either draw path, and k = n//2, where 3k > n
+            for k in (rng.randint(1, lp.n), lp.n // 2):
+                mask = ksets.random_kmask(lp.n, k, rng)
+                gamma = mask_points(mask, lp.n)
+                assert len(gamma) == k
+                length = ksets.layout_orbit_length(mask, bounds)
+                assert length == ksets.cycle_length_exact(gamma, g) == trace(gamma, g, g.order())
 
     @pytest.mark.parametrize("line", range(1, 10))
     @settings(max_examples=15, deadline=None)

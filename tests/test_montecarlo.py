@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ksettrace import families, ksets, montecarlo, perms
+from ksettrace import algorithms, families, ksets, montecarlo, perms
 from ksettrace.montecarlo import (
     ExactConditional,
     ExperimentConfig,
@@ -112,6 +112,30 @@ class TestRunFindMCycle:
         b = montecarlo.run_findmcycle(cfg(n=20, k=2, trials=20, eps=0.3, seed=9))
         assert (a.good, a.bad, a.ugly) == (b.good, b.bad, b.ugly)
 
+    @pytest.mark.parametrize("group, n, goal, k, workers", [
+        (SYM, 20, families.LONG_CYCLE, 2, 1),
+        (SYM, 21, families.TRANSPOSITION, 3, 2),
+        (ALT, 13, families.THREE_CYCLE, 2, 3),
+    ])
+    def test_cost_sums_transcripts(self, group, n, goal, k, workers):
+        # the totals are the per-run Transcript.cost() summed, replayed on
+        # each logical worker's stream, and stay within the trial budget
+        config = cfg(group=group, n=n, goal=goal, k=k, trials=12, eps=0.3, seed=4,
+                     workers=workers)
+        st = montecarlo.run_findmcycle(config)
+        lp = config.line()
+        expected = Counter()
+        for worker, wtrials in enumerate(montecarlo._split_trials(12, workers)):
+            rng = montecarlo._worker_rng(4, worker)
+            for _ in range(wtrials):
+                _, transcript = algorithms.find_m_cycle(
+                    lp, 0.3, config.M, algorithms.make_testbed_oracle(lp, k), rng)
+                expected.update(transcript.cost())
+        assert st.cost == dict(expected)
+        assert st.cost["elements"] >= 12
+        budget = algorithms.trial_budget(n, 0.3)
+        assert st.cost["acts"] <= 12 * budget * config.M * lp.r * lp.m
+
 
 class TestSampleNgood:
     def test_membership(self):
@@ -149,6 +173,30 @@ class TestSampleNgood:
             chi2 += (got.get(ct, 0) - expected) ** 2 / expected
         dof = max(len(type_counts) - 1, 1)
         assert chi2 < dof + 4 * math.sqrt(2 * dof)
+
+
+    @staticmethod
+    def uncached_sample_ngood(lp, rng):
+        # the draw before its table was cached: list the types and weigh
+        # them afresh on every call
+        types = list(families.ngood_types(lp.group, lp.n, lp.m, lp.r))
+        (parts,) = rng.choices(types, [1 / families.centralizer_order(t) for t in types])
+        return parts
+
+    def test_cached_table_keeps_the_stream(self):
+        cells = 0
+        for line in range(1, 10):
+            for n in range(7, 40):
+                try:
+                    lp = families.line_params_by_line(line, n)
+                except ValueError:
+                    continue
+                cells += 1
+                a, b = random.Random(n * 10 + line), random.Random(n * 10 + line)
+                got = [montecarlo.sample_ngood(lp, a) for _ in range(50)]
+                assert got == [self.uncached_sample_ngood(lp, b) for _ in range(50)]
+                assert a.getstate() == b.getstate()
+        assert cells == 132
 
 
 class TestSampleType:
