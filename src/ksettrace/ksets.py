@@ -13,10 +13,14 @@ reference is capped tracing through `image`, `algorithms.orbit_length`.
 One counting kernel, `orbit_length_counts`, counts k-subsets by orbit
 length over the divisors of rm; the exact pass fraction pi_g
 (`good_ksubset_fraction`) and `combinatorics.sigma_Sigma` both read it.
+Its per-cycle period tables are cached across calls, keyed by (t, gcd(t, rm))
+and built for every subset size, so the cache holds at most one table per
+pair (t, d) with d | t <= n, whatever k and rm a sweep visits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -187,18 +191,17 @@ def orbit_length_counts(cycle_lengths: Sequence[int], k: int, rm: int) -> dict[i
 
     The orbit length is the lcm of the rotation periods on the cycles, so it
     divides rm only if every period d divides gcd(t, rm); the DP over
-    (points used, running lcm) therefore stays on the divisors of rm.
+    (points used, running lcm) therefore stays on the divisors of rm.  Each
+    t-cycle's table comes from the cache of `_period_counts`.
     """
     state: dict[tuple[int, int], int] = {(0, 1): 1}
     left = sum(cycle_lengths)
-    tables: dict[int, list] = {}  # per cycle length; fixed points repeat
     for t in cycle_lengths:
         left -= t
-        if t not in tables:
-            tables[t] = _period_counts(t, math.gcd(t, rm), k)
+        table = _period_counts(t, math.gcd(t, rm))
         nxt: dict[tuple[int, int], int] = {}
         for (used, cur), cnt in state.items():
-            for d, by_j in tables[t]:
+            for d, by_j in table:
                 length = cur * d // math.gcd(cur, d)
                 for j, ways in by_j:
                     u = used + j
@@ -212,9 +215,11 @@ def orbit_length_counts(cycle_lengths: Sequence[int], k: int, rm: int) -> dict[i
     return {length: cnt for (used, length), cnt in state.items() if used == k}
 
 
-def _period_counts(t: int, g: int, k: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """[(d, [(j, count), ...])] for each d | g: the number of j-subsets
-    (j <= k, increasing) of a t-cycle with rotation period exactly d.
+@functools.cache  # depends on (t, g) alone, so one table serves every k and rm
+def _period_counts(t: int, g: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """((d, ((j, count), ...)), ...) for each d | g: the number of j-subsets
+    (j increasing) of a t-cycle with rotation period exactly d.  Tuples, so
+    no caller can change the shared table.
 
     A j-subset has period dividing d iff it is a union of c = j*d/t orbits of
     the rotation by d, which gives C(d, c) of them; subtracting the counts of
@@ -224,7 +229,7 @@ def _period_counts(t: int, g: int, k: int) -> list[tuple[int, list[tuple[int, in
     exact: dict[int, dict[int, int]] = {}
     for d in divs:
         step = t // d
-        row = {c * step: math.comb(d, c) for c in range(min(d, k // step) + 1)}
+        row = {c * step: math.comb(d, c) for c in range(d + 1)}
         for e in divs:
             if e >= d:
                 break
@@ -232,4 +237,4 @@ def _period_counts(t: int, g: int, k: int) -> list[tuple[int, list[tuple[int, in
                 for j, ways in exact[e].items():
                     row[j] -= ways
         exact[d] = {j: ways for j, ways in row.items() if ways}
-    return [(d, sorted(row.items())) for d, row in exact.items() if row]
+    return tuple((d, tuple(sorted(row.items()))) for d, row in exact.items() if row)

@@ -372,6 +372,47 @@ class TestCountingKernel:
         assert ksets.good_ksubset_fraction(g, k, lp.m, lp.r) == Fraction(good, math.comb(lp.n, k))
 
 
+class TestPeriodCountCache:
+    """`ksets._period_counts` is cached across calls, keyed by (t, gcd(t, rm))
+    alone, so no table may carry state from the k or rm that built it."""
+
+    def test_no_state_from_an_earlier_k_or_rm(self):
+        n = 12
+        g = Permutation.from_cycles(n, [list(range(6)), list(range(6, 10)), [10, 11]])
+        # 6 and 18 have the same gcd on every cycle (6, 2, 2) but different
+        # divisor sets; 12 has other gcds (6, 4, 2)
+        rms = (6, 18, 12)
+        assert [math.gcd(t, 6) for t in g.cycle_type()] == [math.gcd(t, 18) for t in g.cycle_type()]
+        for ks in ((n // 2, 2), (2, n // 2)):
+            ksets._period_counts.cache_clear()
+            for k in ks:
+                brute = Counter(ksets.cycle_length_exact(gamma, g) for gamma in all_ksubsets(n, k))
+                full = reference_orbit_length_counts(g, k)
+                assert full == dict(brute)
+                for rm in rms:
+                    expected = {length: cnt for length, cnt in full.items() if rm % length == 0}
+                    assert ksets.orbit_length_counts(g.cycle_type(), k, rm) == expected, (k, rm)
+
+    def test_tables_are_tuples(self):
+        ksets.orbit_length_counts((6, 4, 2), 3, 12)
+        for t, d in [(6, 6), (4, 4), (2, 2)]:
+            table = ksets._period_counts(t, d)
+            assert isinstance(table, tuple)
+            for _, by_j in table:
+                assert isinstance(by_j, tuple)
+                assert all(isinstance(pair, tuple) for pair in by_j)
+
+    def test_size_bounded_by_n(self):
+        n = 10
+        ksets._period_counts.cache_clear()
+        for parts in families.partitions(n, range(1, n + 1)):
+            for k in range(1, n + 1):
+                for rm in range(1, n + 1):  # rm = d reaches every d | t
+                    ksets.orbit_length_counts(parts, k, rm)
+        pairs = sum(len(families.divisors(t)) for t in range(1, n + 1))
+        assert 0 < ksets._period_counts.cache_info().currsize <= pairs
+
+
 class TestFastPaths:
     """The cached cycles, the block layout and the unchecked constructors
     against the slow paths they replace, on every line."""

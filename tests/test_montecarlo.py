@@ -309,6 +309,26 @@ class TestExactConditional:
         m = lp.m
         assert ex.p == lp.rho / m * ex.p1 + (m - lp.rho) / Fraction(m) * ex.p2
 
+    def test_prime_power_m_accept_implies_n(self):
+        # for n >= 13, m > n/2; if m is a prime power, an orbit length that m
+        # divides needs a rotation period that m divides, on a cycle of length
+        # m itself, so P(N | accept) = 1 exactly
+        cells = 0
+        for line in families.LINES:
+            for n in range(13, 19):
+                try:
+                    lp = families.line_params_by_line(line, n)
+                except ValueError:
+                    continue
+                if len(families.prime_divisors(lp.m)) != 1:
+                    continue
+                for k in sorted({2, 3, n // 2}):
+                    ex = exact_conditional(lp, k, 4)
+                    if ex.accept > 0:
+                        assert ex.n_given_accept == 1, (line, n, k)
+                        cells += 1
+        assert cells == 51
+
     def test_gate_counts_classes(self):
         lp = families.line_params_by_line(1, 7)  # 15 cycle types
         assert exact_conditional(lp, 2, 4, budget=15 * 10**3).accept > 0
