@@ -51,19 +51,20 @@ class TestbedOracle(GroupOracle):
         if not 2 <= k <= n // 2:
             raise ValueError(f"need 2 <= k <= n/2, got k={k}, n={n}")
         self.params = params
+        self.n = n
         self.k = k
 
     def random_element(self, rng) -> perms.Permutation:
-        return perms.random_element(self.params.group, self.params.n, rng)
+        return perms.random_element(self.params.group, self.n, rng)
 
     def random_point(self, rng) -> frozenset[int]:
-        return ksets.random_ksubset(self.params.n, self.k, rng)
+        return ksets.random_ksubset(self.n, self.k, rng)
 
     def act(self, point: frozenset[int], element: perms.Permutation) -> frozenset[int]:
         images = element.images
-        if len(images) != self.params.n:
+        if len(images) != self.n:
             raise perms.DegreeMismatchError(
-                f"point degree {self.params.n} does not match permutation degree {len(images)}"
+                f"point degree {self.n} does not match permutation degree {len(images)}"
             )
         return frozenset(map(images.__getitem__, point))
 
@@ -148,14 +149,12 @@ def orbit_length(act: Callable[[Any, Any], Any], point, element, cap: int):
     ``act(point, element)`` at most cap times; EXCEEDS_CAP if t > cap."""
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    cur = act(point, element)
-    t = 1
-    while cur != point:
-        if t >= cap:
-            return ksets.EXCEEDS_CAP
+    cur = point
+    for t in range(1, cap + 1):
         cur = act(cur, element)
-        t += 1
-    return t
+        if cur == point:
+            return t
+    return ksets.EXCEEDS_CAP
 
 
 def trace_cycle(
@@ -196,6 +195,14 @@ def trial_budget(n: int, eps: float) -> int:
     return math.ceil(5 * n * math.log(2 / eps))
 
 
+def check_detector_args(eps: float, M: int) -> None:
+    """`find_m_cycle`'s own checks: eps in (0, 1) and M >= 4."""
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    if M < 4:
+        raise ValueError("M must be at least 4")
+
+
 def find_m_cycle(
     params: LineParams,
     eps: float,
@@ -210,10 +217,7 @@ def find_m_cycle(
     ones "ugly-step"; the transcript keeps the tracing cap rm, so its
     ``cost()`` can count acts.  Returns (element or FAIL, Transcript).
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    if M < 4:
-        raise ValueError("M must be at least 4")
+    check_detector_args(eps, M)
     N = trial_budget(params.n, eps)
     transcript = Transcript(cap=params.r * params.m)
     for i in range(1, N + 1):

@@ -8,7 +8,10 @@ file value is read as its flag's text would be, so a value of the wrong type
 (``"trials": 2.9``, ``"seed": true``) is a usage error.  Every output starts
 with the converted configuration.  Stochastic subcommands require --seed.
 
-Exit codes: 0 success, 1 a verification/bound check failed, 2 usage error.
+Exit codes: 0 success; 1 a verification/bound check failed, or the command
+failed after reading its input (an internal fault such as a
+``DegreeMismatchError``); 2 usage error: bad flags or option values, or an
+unreadable --config or unwritable --output file.
 """
 
 from __future__ import annotations
@@ -29,6 +32,17 @@ EXIT_USAGE = 2
 
 class UsageError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _reading_input():
+    """Report a ValueError raised while a command turns its options into
+    library objects as a usage error; one raised later is a fault of the
+    run itself."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _group(text: str) -> str:
@@ -95,20 +109,24 @@ def _options(args: argparse.Namespace) -> dict:
 
 
 def _line(opts: dict) -> families.LineParams:
-    return families.line_params(opts["group"], opts["n"], opts["goal"])
+    with _reading_input():
+        return families.line_params(opts["group"], opts["n"], opts["goal"])
 
 
 def cmd_trace(opts: dict, out) -> int:
     n = opts["n"]
     if "cap" in opts:
         cap = opts["cap"]
+        if cap < 1:
+            raise UsageError(f"--cap must be at least 1, got {cap}")
     else:
         # default cap rm comes from the parameter line
         _require(opts, LINE)
         params = _line(opts)
         cap = params.r * params.m
-    g = perms.Permutation.parse(opts["perm"], n=n)
-    gamma = ksets.parse_ksubset(opts["subset"], n)
+    with _reading_input():
+        g = perms.Permutation.parse(opts["perm"], n=n)
+        gamma = ksets.parse_ksubset(opts["subset"], n)
     traced = algorithms.orbit_length(ksets.image, gamma, g, cap)
     exact = ksets.cycle_length_exact(gamma, g)
     print(f"traced: {traced}", file=out)
@@ -118,19 +136,21 @@ def cmd_trace(opts: dict, out) -> int:
 
 def cmd_classify(opts: dict, out) -> int:
     params = _line(opts)
-    g = perms.Permutation.parse(opts["perm"], n=params.n)
-    label = families.classify(g, params, opts.get("s", Fraction(5, 8)))
+    with _reading_input():  # classify raises only on its arguments
+        g = perms.Permutation.parse(opts["perm"], n=params.n)
+        label = families.classify(g, params, opts.get("s", Fraction(5, 8)))
     print(f"line: {params.line}  family: {label}", file=out)
     return EXIT_OK
 
 
 def cmd_find_mcycle(opts: dict, out) -> int:
     params = _line(opts)
-    oracle = algorithms.make_testbed_oracle(params, opts.get("k", 2))
+    eps, M = opts.get("eps", 0.1), opts.get("M", 4)
+    with _reading_input():
+        oracle = algorithms.make_testbed_oracle(params, opts.get("k", 2))
+        algorithms.check_detector_args(eps, M)
     rng = random.Random(opts["seed"])
-    result, transcript = algorithms.find_m_cycle(
-        params, opts.get("eps", 0.1), opts.get("M", 4), oracle, rng
-    )
+    result, transcript = algorithms.find_m_cycle(params, eps, M, oracle, rng)
     for line in transcript.lines():
         print(line, file=out)
     print("# cost: " + json.dumps(transcript.cost()), file=out)
@@ -143,6 +163,8 @@ def cmd_find_mcycle(opts: dict, out) -> int:
 
 def cmd_experiment(opts: dict, out) -> int:
     config = montecarlo.ExperimentConfig(**{"k": 2, **opts})
+    with _reading_input():
+        config.validate()
     if config.mode == "conditional":
         stats = montecarlo.run_conditional(config)
         print(montecarlo.emit_report(stats), file=out, end="")
@@ -241,7 +263,10 @@ def cmd_oracle(opts: dict, out) -> int:
         agrees = rho == params.rho
         print(f"line {params.line}: rho_oracle = {rho}, table rho = {params.rho}, agree = {agrees}", file=out)
         return EXIT_OK if agrees else EXIT_CHECK_FAILED
-    ex = montecarlo.exact_conditional(params, opts.get("k", 2), opts.get("M", 4))
+    k, M = opts.get("k", 2), opts.get("M", 4)
+    if not 1 <= k <= params.n or M < 1:
+        raise UsageError(f"need 1 <= k <= n and M >= 1, got k={k}, n={params.n}, M={M}")
+    ex = montecarlo.exact_conditional(params, k, M)
     print(f"accept: {ex.accept}", file=out)
     print(f"P(m-cycle | accept): {ex.n_given_accept}", file=out)
     print(f"p: {ex.p}  p1: {ex.p1}  p2: {ex.p2}  q: {ex.q}", file=out)
@@ -286,12 +311,24 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         opts = _options(args)
-        with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as out:
+        with _open_output(args.output) as out:
             print("# config: " + json.dumps(opts, sort_keys=True, default=str), file=out)
             return COMMANDS[args.command][0](opts, out)
-    except (ValueError, OSError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+
+
+def _open_output(path: str | None):
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"cannot write output {path}: {exc}") from exc
 
 
 if __name__ == "__main__":

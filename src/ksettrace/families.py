@@ -137,6 +137,13 @@ def in_Ngood(g: Permutation, params: LineParams) -> bool:
     return in_N(g, params) and g.order_divides(params.r * params.m)
 
 
+def is_ngood_type(lengths, params: LineParams) -> bool:
+    """Elements of the line's group with these cycle lengths lie in N_good:
+    one length is m and every length divides rm, so o(g) divides rm."""
+    rm = params.r * params.m
+    return params.m in lengths and all(rm % t == 0 for t in lengths)
+
+
 def classify(g: Permutation, params: LineParams, s: Fraction) -> str:
     """Family of g: `classify_type` of its cycle type, once g is known to
     lie in the line's group."""
@@ -155,9 +162,8 @@ def classify_type(lengths, params: LineParams, s: Fraction) -> str:
     sum of those lengths.  The s-large threshold (rn)^s is compared exactly
     via integer cross-powers.
     """
+    check_s(s)
     p, q = s.numerator, s.denominator
-    if not q < 2 * p < 2 * q:  # 1/2 < s < 1, in integers
-        raise ValueError(f"s must lie in (1/2, 1), got {s}")
     m = params.m
     if m in lengths:
         return FAMILY_N
@@ -180,6 +186,14 @@ def classify_type(lengths, params: LineParams, s: Fraction) -> str:
     if (v - large[0]) ** q > 3**q * rn_p:
         return FAMILY_S1PLUS
     return FAMILY_S1MINUS
+
+
+def check_s(s: Fraction) -> None:
+    """Raise ValueError unless 1/2 < s < 1, the exponent range of the
+    s-large threshold (rn)^s."""
+    p, q = s.numerator, s.denominator
+    if not q < 2 * p < 2 * q:  # 1/2 < s < 1, in integers
+        raise ValueError(f"s must lie in (1/2, 1), got {s}")
 
 
 def divisor_profile(params: LineParams) -> dict:

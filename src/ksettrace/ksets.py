@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Sequence
 
-from .families import accepted_lengths, divisors
+from .families import accepted_lengths, divisors, prime_divisors
 from .perms import Permutation
 
 
@@ -77,7 +77,8 @@ def image(gamma: frozenset[int], g: Permutation) -> frozenset[int]:
 def rotation_period(cycle_length: int, positions) -> int:
     """Smallest divisor d of cycle_length with positions + d == positions mod t.
 
-    Checks divisors in increasing order; empty and full sets give 1.
+    Found by prime descent from d = t, in O(number of prime factors of t)
+    shift tests; empty and full sets give 1.
     """
     pos = frozenset(positions)
     if any(not 0 <= x < cycle_length for x in pos):
@@ -86,15 +87,27 @@ def rotation_period(cycle_length: int, positions) -> int:
 
 
 def _rotation_period(t: int, bits: int) -> int:
-    # bits is a t-bit mask of positions; a d-periodic set must distribute
-    # evenly over the t//d shift-classes, so d is a multiple of
-    # t // gcd(|pos|, t); every set has period t
+    # bits is a t-bit mask of positions.  The shifts d | t that fix it are
+    # the multiples of its period, and each is a multiple of
+    # step = t // gcd(|pos|, t), since a d-periodic set spreads evenly over
+    # the t//d shift-classes.  So descend from d = t: for each prime q of
+    # t // step, divide d by q while the shift by d/q still fixes the mask.
     full = (1 << t) - 1
     step = t // math.gcd(bits.bit_count(), t)
-    for d in range(step, t, step):
-        if t % d == 0 and ((bits << d) | (bits >> (t - d))) & full == bits:
-            return d
-    return t
+    d = t
+    for q in _prime_divisors(t // step):
+        while (d // step) % q == 0:
+            s = d // q
+            if ((bits << s) | (bits >> (t - s))) & full != bits:
+                break
+            d = s
+    return d
+
+
+@functools.cache
+def _prime_divisors(x: int) -> tuple[int, ...]:
+    """`families.prime_divisors`, cached, as a tuple no caller can change."""
+    return tuple(prime_divisors(x))
 
 
 def cycle_length_exact(gamma: frozenset[int], g: Permutation) -> int:
@@ -142,13 +155,14 @@ def random_kmask(n: int, k: int, rng) -> int:
     If 3k <= n this is the mask of `rng.sample(range(n), k)`, the draw of
     `random_ksubset`, so seeded streams agree.  Otherwise it starts from
     `rng.getrandbits(n)`, a fair coin per point, then sets uniformly drawn
-    unset points, or clears uniformly drawn set points (`rng.randrange(n)`
-    with rejection), until exactly k are set; near k = n/2 that takes
-    O(sqrt n) calls instead of k.  The start is exchangeable and every
-    fix-up step treats all points alike, so the law of the result is
-    invariant under Sym(n); that group is transitive on k-subsets, so each
-    is equally likely.  The two draws cost about the same near k = 0.35n,
-    hence the switch at 3k = n.
+    unset points, or clears uniformly drawn set points, until exactly k are
+    set; near k = n/2 that takes O(sqrt n) draws instead of k.  Each point
+    is drawn as `rng.randrange(n)` draws it (the rule and rng contract of
+    `perms.random_element`), so seeded streams equal those of that call.
+    The start is exchangeable and every fix-up step treats all points
+    alike, so the law of the result is invariant under Sym(n); that group
+    is transitive on k-subsets, so each is equally likely.  The two draws
+    cost about the same near k = 0.35n, hence the switch at 3k = n.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -157,18 +171,18 @@ def random_kmask(n: int, k: int, rng) -> int:
         for x in rng.sample(range(n), k):
             mask |= 1 << x
         return mask
-    mask = rng.getrandbits(n)
+    getrandbits = rng.getrandbits
+    mask = getrandbits(n)
     count = mask.bit_count()
-    while count < k:
-        bit = 1 << rng.randrange(n)
-        if not mask & bit:
-            mask |= bit
-            count += 1
-    while count > k:
-        bit = 1 << rng.randrange(n)
-        if mask & bit:
-            mask ^= bit
-            count -= 1
+    # flip drawn points whose bit is `want`: unset ones while too few are
+    # set, set ones while too many are
+    want, step = (0, 1) if count < k else (1, -1)
+    b = n.bit_length()
+    while count != k:
+        x = getrandbits(b)
+        if x < n and mask >> x & 1 == want:
+            mask ^= 1 << x
+            count += step
     return mask
 
 

@@ -54,6 +54,11 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def validate(self) -> None:
+        """Raise ValueError on a bad value or combination of values: the
+        line must exist, k, M, trials and workers lie in range, s in
+        (1/2, 1), and the detector's eps and M hold in findmcycle mode."""
+        self.line()
+        families.check_s(self.s)
         if not 2 <= self.k <= self.n // 2:
             raise ValueError(f"need 2 <= k <= n/2, got k={self.k}, n={self.n}")
         if self.M < 1:
@@ -64,6 +69,8 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.mode not in ("conditional", "findmcycle"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "findmcycle":
+            algorithms.check_detector_args(self.eps, self.M)
         if self.condition not in ("none", "ngood"):
             raise ValueError(f"unknown condition {self.condition!r}")
 
@@ -163,16 +170,24 @@ def sample_type(group: str, n: int, rng) -> list[int]:
     """Cycle lengths of a uniform element of Sym(n) or Alt(n), by Feller's
     coupling: the cycle through the first point not yet placed has a length
     uniform on 1..rest, where rest points remain.  Alt redraws the whole
-    type until it is even, about 2 draws on average."""
+    type until it is even, about 2 draws on average.
+
+    Each length is drawn as `rng.randrange(rest) + 1` draws it (the rule and
+    rng contract of `perms.random_element`), so seeded streams equal those
+    of that call."""
     if group not in (perms.SYM, perms.ALT):
         raise ValueError(f"unknown group {group!r}")
+    getrandbits = rng.getrandbits
     while True:
         parts = []
         rest = n
         while rest:
-            t = rng.randrange(rest) + 1
-            parts.append(t)
-            rest -= t
+            b = rest.bit_length()
+            t = getrandbits(b)
+            while t >= rest:
+                t = getrandbits(b)
+            parts.append(t + 1)
+            rest -= t + 1
         if group == perms.SYM or (n - len(parts)) % 2 == 0:
             return parts
 
@@ -210,7 +225,6 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     """
     config.validate()
     params = config.line()
-    rm = params.r * params.m
     good_lengths = families.accepted_lengths(params.m, params.r)
     stats = SummaryStats(config)
     for worker, wtrials in enumerate(_split_trials(config.trials, config.workers)):
@@ -232,7 +246,7 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
                     break
             key = (fam, accepted)
             stats.contingency[key] = stats.contingency.get(key, 0) + 1
-            if fam == families.FAMILY_N and all(rm % t == 0 for t in parts):  # N_good
+            if families.is_ngood_type(parts, params):
                 stats.ngood_trials += 1
                 if accepted:
                     stats.ngood_accepted += 1
@@ -294,7 +308,8 @@ def exact_conditional(
     for Sym and n <= 36 for Alt.
     """
     n, m, r = params.n, params.m, params.r
-    rm = r * m
+    if not 1 <= k <= n or M < 1:
+        raise ValueError(f"need 1 <= k <= n and M >= 1, got k={k}, n={n}, M={M}")
     limit = budget // 10**3
     summed = (
         parts for parts in families.partitions(n, range(1, n + 1))
@@ -318,7 +333,7 @@ def exact_conditional(
         mass = size * Fraction(ksets.good_ksubset_count(parts, k, m, r), subsets) ** M
         fam = families.classify_type(parts, params, s)
         accept_by_family[fam] = accept_by_family.get(fam, Fraction(0)) + mass
-        if fam == families.FAMILY_N and all(rm % t == 0 for t in parts):  # o(g) | rm: N_good
+        if families.is_ngood_type(parts, params):
             ngood_size += size
             ngood_accept += mass
 

@@ -208,22 +208,41 @@ _ENUM_LIMIT = 10
 def random_element(group: str, n: int, rng) -> Permutation:
     """Uniform element of Sym(n) or Alt(n).
 
-    Sym: unbiased Fisher-Yates shuffle.  Alt: shuffle, then swap the images
-    of positions 0 and 1 if the result is odd; this is a bijection from odd
-    to even permutations, so uniformity is preserved.
+    Sym: unbiased Fisher-Yates shuffle, position i = n-1 .. 1 swapped with
+    j uniform on 0..i.  Alt: the same, then the images of positions 0 and 1
+    swapped if the result is odd; this is a bijection from odd to even
+    permutations, so uniformity is preserved.  Each swap with j != i is a
+    transposition, so their count gives the parity without a cycle walk.
+
+    The rng contract: only `getrandbits` of `random.Random` is called.  j is
+    drawn by CPython's rule for `Random.randrange(i + 1)`: r =
+    getrandbits((i + 1).bit_length()), redrawn while r > i.  So the element,
+    and the generator state it leaves, equal those of `rng.shuffle` on
+    list(range(n)).
     """
     if group not in (SYM, ALT):
         raise ValueError(f"unknown group {group!r}")
     least = 2 if group == ALT else 1
     if n < least:
         raise ValueError(f"{group} requires n >= {least}")
+    getrandbits = rng.getrandbits
     images = list(range(n))
-    rng.shuffle(images)
-    p = Permutation._trusted(images)
-    if group == ALT and not p.is_even():
+    swaps = 0
+    b = n.bit_length()
+    low = (1 << (b - 1)) - 1  # the least i with (i + 1).bit_length() == b
+    for i in range(n - 1, 0, -1):
+        if i < low:
+            b -= 1
+            low >>= 1
+        j = getrandbits(b)
+        while j > i:
+            j = getrandbits(b)
+        if j != i:
+            images[i], images[j] = images[j], images[i]
+            swaps += 1
+    if group == ALT and swaps & 1:
         images[0], images[1] = images[1], images[0]
-        p = Permutation._trusted(images)
-    return p
+    return Permutation._trusted(images)
 
 
 def enumerate_group(group: str, n: int) -> Iterator[Permutation]:

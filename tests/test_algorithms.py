@@ -262,3 +262,42 @@ class TestTranscriptCost:
                 assert transcript.cap == params.r * params.m
                 assert transcript.cost() == oracle.totals()
                 assert oracle.acts <= budget * 4 * transcript.cap
+
+
+def reference_orbit_length(act, point, element, cap):
+    """The capped tracer as first written, a while loop over the images."""
+    cur = act(point, element)
+    t = 1
+    while cur != point:
+        if t >= cap:
+            return ksets.EXCEEDS_CAP
+        cur = act(cur, element)
+        t += 1
+    return t
+
+
+class TestOrbitLengthCap:
+    @pytest.mark.parametrize("cap", [1, 2, 5, 12])
+    def test_cap_boundary(self, cap):
+        # the point 0 under x -> x + 1 mod L has orbit length L
+        for length in (cap - 1, cap, cap + 1):
+            if length < 1:
+                continue
+            counts = []
+            results = []
+            for tracer in (algorithms.orbit_length, reference_orbit_length):
+                acts = 0
+
+                def act(x, L):
+                    nonlocal acts
+                    acts += 1
+                    return (x + 1) % L
+
+                results.append(tracer(act, 0, length, cap))
+                counts.append(acts)
+            assert results[0] == results[1]
+            assert counts[0] == counts[1] == min(length, cap)
+            assert (results[0] is ksets.EXCEEDS_CAP) == (length > cap)
+            transcript = algorithms.Transcript(cap=cap)
+            transcript.add(1, algorithms.OUTCOME_UGLY_STEP, [results[0]])
+            assert transcript.cost()["acts"] == counts[0]

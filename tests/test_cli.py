@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ksettrace import cli, families, montecarlo, perms
+from ksettrace import cli, families, ksets, montecarlo, perms
 
 
 def run(argv):
@@ -329,3 +329,68 @@ class TestConfigRoundTrip:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(config_of(out)))
         assert run([argv[0], "--config", str(cfgfile)]) == (0, out)
+
+
+class TestExitCodes:
+    """2 for bad input only; a ValueError raised by a command's own run is
+    a fault of the run and exits 1, with its error line."""
+
+    EXPERIMENT = ["experiment", "--group", "sym", "--n", "20", "--goal", "long-cycle",
+                  "--seed", "1", "--trials", "5"]
+
+    def test_internal_degree_mismatch_exits_1(self, monkeypatch, capsys):
+        def mismatched(gamma, g):
+            raise perms.DegreeMismatchError("cannot compose degree 6 with degree 7")
+
+        monkeypatch.setattr(ksets, "cycle_length_exact", mismatched)
+        code, out = run(["trace", "--n", "6", "--cap", "10",
+                         "--perm", "(1 2 3 4 5 6)", "--subset", "{1,4}"])
+        assert code == 1
+        assert out.startswith("# config: ")
+        assert capsys.readouterr().err == "error: cannot compose degree 6 with degree 7\n"
+
+    def test_other_internal_value_error_exits_1(self, monkeypatch, capsys):
+        def broken(config):
+            raise ValueError("planted fault")
+
+        monkeypatch.setattr(montecarlo, "run_conditional", broken)
+        code, _ = run(self.EXPERIMENT)
+        assert code == 1
+        assert capsys.readouterr().err == "error: planted fault\n"
+
+    @pytest.mark.parametrize("extra", [
+        ["--k", "11"],  # k > n/2
+        ["--mode", "findmcycle", "--M", "3"],  # the detector needs M >= 4
+        ["--mode", "findmcycle", "--eps", "1.5"],
+        ["--s", "1/2"],
+    ])
+    def test_bad_flag_combination_exits_2(self, extra, capsys):
+        code, _ = run(self.EXPERIMENT + extra)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["find-mcycle", "--group", "sym", "--n", "20", "--goal", "long-cycle", "--seed", "1",
+         "--M", "2"],
+        ["find-mcycle", "--group", "sym", "--n", "20", "--goal", "long-cycle", "--seed", "1",
+         "--k", "11"],
+        ["trace", "--n", "6", "--cap", "0", "--perm", "(1 2 3 4 5 6)", "--subset", "{1,4}"],
+        ["classify", "--group", "alt", "--n", "12", "--goal", "long-cycle", "--perm", "(1 2)"],
+        ["oracle", "--group", "sym", "--n", "7", "--goal", "transposition",
+         "--what", "conditional", "--k", "9"],
+        ["oracle", "--group", "sym", "--n", "7", "--goal", "transposition",
+         "--what", "conditional", "--M", "0"],
+        ["experiment", "--group", "sym", "--n", "20", "--goal", "no-such-goal", "--seed", "1"],
+    ])
+    def test_bad_input_exits_2(self, argv):
+        assert run(argv)[0] == 2
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        code, out = run(["verify", "--config", str(tmp_path / "missing.json")])
+        assert (code, out) == (2, "")
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        code, _ = run(["verify", "--suite", "binom", "--output", str(tmp_path / "no" / "out.txt")])
+        assert code == 2
+        assert "cannot write output" in capsys.readouterr().err

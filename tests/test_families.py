@@ -262,6 +262,22 @@ class TestMembership:
         g9 = Permutation.from_cycles(9, [list(range(9))])
         assert not in_N(g9, lp)  # no 7-cycle
 
+    @pytest.mark.parametrize("line, n", [(1, 12), (2, 13), (3, 12), (4, 13), (6, 14), (9, 13)])
+    def test_ngood_type_matches_in_ngood(self, line, n):
+        # the type predicate agrees with the element test on every type of
+        # the line's group, in either order
+        lp = families.line_params_by_line(line, n)
+        rng = random.Random(line)
+        hits = 0
+        for parts in families.partitions(n, range(1, n + 1)):
+            g = lay_type(parts, n, rng)
+            if in_group(g, lp.group):
+                want = in_Ngood(g, lp)
+                hits += want
+                assert families.is_ngood_type(parts, lp) == want
+                assert families.is_ngood_type(parts[::-1], lp) == want
+        assert hits
+
     def test_parity_enforced(self):
         lp = families.line_params_by_line(6, 8)  # Alt(8), m = 5
         g = Permutation.from_cycles(8, [[0, 1, 2, 3, 4]])  # 5-cycle, even

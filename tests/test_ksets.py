@@ -131,6 +131,45 @@ class TestRotationPeriod:
             assert all({(x + e) % t for x in pos} != pos for e in range(1, d))
 
 
+def brute_rotation_period(t, bits):
+    """The least divisor d of t whose shift fixes the t-bit mask, trying
+    every divisor in increasing order."""
+    full = (1 << t) - 1
+    return next(d for d in families.divisors(t)
+                if ((bits << d) | (bits >> (t - d))) & full == bits)
+
+
+def periodic_mask(t, d, rng):
+    """A random t-bit mask fixed by the shift by d (d | t): a random d-bit
+    pattern repeated t // d times."""
+    pattern = rng.getrandbits(d)
+    return sum(pattern << i for i in range(0, t, d))
+
+
+class TestRotationPeriodDescent:
+    def test_matches_all_divisors_brute_force(self):
+        rng = random.Random(16)
+        for t in range(1, 65):
+            full = (1 << t) - 1
+            masks = [0, full] + [rng.getrandbits(t) for _ in range(30)]
+            for d in families.divisors(t):
+                masks += [periodic_mask(t, d, rng) for _ in range(5)]
+            for bits in masks:
+                assert ksets._rotation_period(t, bits) == brute_rotation_period(t, bits), (t, bits)
+
+    def test_empty_and_full_give_one(self):
+        for t in range(1, 65):
+            assert ksets._rotation_period(t, 0) == 1
+            assert ksets._rotation_period(t, (1 << t) - 1) == 1
+
+    def test_prime_cache_returns_tuples(self):
+        for x in (1, 2, 12, 64, 97, 200):
+            primes = ksets._prime_divisors(x)
+            assert isinstance(primes, tuple)
+            assert primes == tuple(families.prime_divisors(x))
+            assert ksets._prime_divisors(x) is primes
+
+
 class TestExactEngine:
     def test_identity(self):
         assert ksets.cycle_length_exact(frozenset({0, 4}), Permutation.identity(7)) == 1
@@ -210,6 +249,31 @@ class TestRandomKMask:
         for _ in range(50):
             assert mask_points(ksets.random_kmask(n, k, a), n) == ksets.random_ksubset(n, k, b)
         assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (6, 3), (8, 7), (13, 6), (200, 100), (201, 100)])
+    def test_fixup_stream_matches_randrange(self, n, k):
+        # for 3k > n the fix-up as first written, through rng.randrange:
+        # same masks and the same generator state after them
+        def reference(rng):
+            mask = rng.getrandbits(n)
+            count = mask.bit_count()
+            while count < k:
+                bit = 1 << rng.randrange(n)
+                if not mask & bit:
+                    mask |= bit
+                    count += 1
+            while count > k:
+                bit = 1 << rng.randrange(n)
+                if mask & bit:
+                    mask ^= bit
+                    count -= 1
+            return mask
+
+        for seed in range(60):
+            a, b = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert ksets.random_kmask(n, k, a) == reference(b)
+            assert a.random() == b.random()
 
     def test_full_set(self):
         rng = random.Random(1)

@@ -240,6 +240,27 @@ class TestSampleType:
         with pytest.raises(ValueError, match="unknown group"):
             montecarlo.sample_type("Cyc", 8, random.Random(0))
 
+    @pytest.mark.parametrize("group", [SYM, ALT])
+    @pytest.mark.parametrize("n", [2, 7, 100, 200, 201])
+    def test_stream_matches_randrange(self, group, n):
+        # the Feller draw as first written, through rng.randrange: same
+        # types and the same generator state after them
+        def reference(rng):
+            while True:
+                parts, rest = [], n
+                while rest:
+                    t = rng.randrange(rest) + 1
+                    parts.append(t)
+                    rest -= t
+                if group == SYM or (n - len(parts)) % 2 == 0:
+                    return parts
+
+        for seed in range(60):
+            a, b = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert montecarlo.sample_type(group, n, a) == reference(b)
+            assert a.random() == b.random()
+
 
 def element_conditional(lp, k, M, elements):
     """ExactConditional summed over the group's elements, given as
@@ -273,6 +294,12 @@ def element_conditional(lp, k, M, elements):
 
 
 class TestExactConditional:
+    @pytest.mark.parametrize("k, M", [(0, 4), (8, 4), (2, 0), (2, -1)])
+    def test_rejects_k_or_M_out_of_range(self, k, M):
+        lp = families.line_params(SYM, 7, families.TRANSPOSITION)
+        with pytest.raises(ValueError, match="need 1 <= k <= n and M >= 1"):
+            exact_conditional(lp, k, M)
+
     def test_identity_line2_n7(self):
         lp = families.line_params(SYM, 7, families.TRANSPOSITION)
         ex = exact_conditional(lp, 2, 4)
@@ -410,6 +437,15 @@ class TestConfig:
     def test_rejects_unknown_choice(self, field, value):
         with pytest.raises(ValueError, match=f"unknown {field}"):
             cfg(**{field: value}).validate()
+
+    @pytest.mark.parametrize("kw", [
+        dict(goal="no-such-goal"), dict(n=6), dict(s=Fraction(1, 2)), dict(s=Fraction(1)),
+        dict(mode="findmcycle", M=3), dict(mode="findmcycle", eps=1.0),
+    ])
+    def test_rejects_bad_line_s_or_detector_args(self, kw):
+        with pytest.raises(ValueError):
+            cfg(**kw).validate()
+        assert cfg(mode="findmcycle").validate() is None
 
     def test_hash_stable(self):
         assert cfg().config_hash() == cfg().config_hash()

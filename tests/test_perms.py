@@ -177,6 +177,46 @@ class TestSampling:
         b = [perms.random_element(SYM, 10, random.Random(9)) for _ in range(20)]
         assert a == b
 
+    def test_alt_parity_without_cycle_walk(self):
+        # the parity comes from the swap count, so no cycles are walked
+        rng = random.Random(4)
+        for n in (2, 3, 4, 5, 8, 17, 200, 201):
+            for _ in range(20):
+                p = perms.random_element(ALT, n, rng)
+                assert getattr(p, "_cycles", None) is None
+                assert p.is_even()
+
+
+def reference_random_element(group, n, rng):
+    """The element drawn by `rng.shuffle` and fixed up by `is_even`, as the
+    sampler was first written."""
+    images = list(range(n))
+    rng.shuffle(images)
+    if group == ALT and not Permutation(images).is_even():
+        images[0], images[1] = images[1], images[0]
+    return Permutation(images)
+
+
+class TestRandomElementStream:
+    @pytest.mark.parametrize("group", [SYM, ALT])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17, 100, 200, 201])
+    def test_matches_shuffle(self, group, n):
+        # same elements and the same generator state after them
+        for seed in range(60):
+            a, b = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert perms.random_element(group, n, a) == reference_random_element(group, n, b)
+            assert a.random() == b.random()
+
+    def test_only_getrandbits_is_called(self):
+        class BitsOnly:
+            def __init__(self, seed):
+                self.getrandbits = random.Random(seed).getrandbits
+
+        for group in (SYM, ALT):
+            assert perms.random_element(group, 50, BitsOnly(3)) == perms.random_element(
+                group, 50, random.Random(3))
+
 
 class TestEnumeration:
     def test_counts(self):
