@@ -58,17 +58,12 @@ def check_binom_lemma(a: int, c: int, ell: int) -> Verdict:
 def npk_count(P: SetPartition, k0: int) -> int:
     """Number of k0-subsets of the u-set that are unions of whole parts.
 
-    Parts are distinguishable subsets, so this is the coefficient of x^k0
-    in prod(1 + x^size); computed by DP over parts.
+    These are the k0-subsets of orbit length 1 under a permutation whose
+    cycles are the parts, so `ksets.orbit_length_counts` counts them at rm = 1.
     """
     if not 2 <= k0 <= P.u:
         raise ValueError(f"need 2 <= k0 <= u, got k0={k0}, u={P.u}")
-    coeffs = [0] * (k0 + 1)
-    coeffs[0] = 1
-    for size in P.part_sizes:
-        for j in range(k0, size - 1, -1):
-            coeffs[j] += coeffs[j - size]
-    return coeffs[k0]
+    return orbit_length_counts(P.part_sizes, k0, 1).get(1, 0)
 
 
 def npk_bounds(u: int, k0: int) -> tuple[int, int | None, Fraction]:

@@ -133,8 +133,8 @@ def in_N(g: Permutation, params: LineParams) -> bool:
 
 
 def in_Ngood(g: Permutation, params: LineParams) -> bool:
-    """in_N and o(g) divides rm."""
-    return in_N(g, params) and g.order_divides(params.r * params.m)
+    """in_N and o(g) divides rm, by `is_ngood_type` on g's cycle type."""
+    return in_N(g, params) and is_ngood_type(g.cycle_type(), params)
 
 
 def is_ngood_type(lengths, params: LineParams) -> bool:

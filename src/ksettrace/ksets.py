@@ -12,7 +12,8 @@ blocks, each found by shifting a block's bits and comparing;
 reference is capped tracing through `image`, `algorithms.orbit_length`.
 One counting kernel, `orbit_length_counts`, counts k-subsets by orbit
 length over the divisors of rm; the exact pass fraction pi_g
-(`good_ksubset_fraction`) and `combinatorics.sigma_Sigma` both read it.
+(`good_ksubset_fraction`), `combinatorics.sigma_Sigma` and, at rm = 1,
+`combinatorics.npk_count` read it.
 Its per-cycle period tables are cached across calls, keyed by (t, gcd(t, rm))
 and built for every subset size, so the cache holds at most one table per
 pair (t, d) with d | t <= n, whatever k and rm a sweep visits.
@@ -74,24 +75,17 @@ def image(gamma: frozenset[int], g: Permutation) -> frozenset[int]:
     return frozenset(map(g.images.__getitem__, gamma))
 
 
-def rotation_period(cycle_length: int, positions) -> int:
-    """Smallest divisor d of cycle_length with positions + d == positions mod t.
+def _rotation_period(t: int, bits: int) -> int:
+    """The least d | t with pos + d == pos mod t, for the set pos of
+    positions on a t-cycle with t-bit mask `bits`; empty and full sets give 1.
 
     Found by prime descent from d = t, in O(number of prime factors of t)
-    shift tests; empty and full sets give 1.
+    shift tests.  The shifts d | t that fix the mask are the multiples of
+    its period, and each is a multiple of step = t // gcd(|pos|, t), since a
+    d-periodic set spreads evenly over the t//d shift-classes.  So for each
+    prime q of t // step, divide d by q while the shift by d/q still fixes
+    the mask.
     """
-    pos = frozenset(positions)
-    if any(not 0 <= x < cycle_length for x in pos):
-        raise ValueError("positions must be residues mod cycle_length")
-    return _rotation_period(cycle_length, sum(1 << x for x in pos))
-
-
-def _rotation_period(t: int, bits: int) -> int:
-    # bits is a t-bit mask of positions.  The shifts d | t that fix it are
-    # the multiples of its period, and each is a multiple of
-    # step = t // gcd(|pos|, t), since a d-periodic set spreads evenly over
-    # the t//d shift-classes.  So descend from d = t: for each prime q of
-    # t // step, divide d by q while the shift by d/q still fixes the mask.
     full = (1 << t) - 1
     step = t // math.gcd(bits.bit_count(), t)
     d = t

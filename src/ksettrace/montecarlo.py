@@ -133,9 +133,6 @@ class SummaryStats:
             if fam in fams and (accepted is None or acc == accepted)
         )
 
-    def accept_given(self, fams: Iterable[str]) -> Estimate:
-        return Estimate(self._count(fams, True), self._count(fams))
-
     def accept_overall(self) -> Estimate:
         return Estimate(self._count(families.ALL_FAMILIES, True), self.trials)
 
@@ -295,7 +292,6 @@ def exact_conditional(
     k: int,
     M: int,
     s: Fraction = Fraction(5, 8),
-    budget: int = ksets.DEFAULT_ENUMERATION_BUDGET,
 ) -> ExactConditional:
     """Exact acceptance probabilities by summing over conjugacy classes:
     for an element g, the per-point pass chance pi_g is the fraction of
@@ -304,13 +300,13 @@ def exact_conditional(
     each cycle type is summed from its parts alone.
 
     The cost grows with the number of cycle types summed (the even ones for
-    Alt), which may be at most budget // 10**3: at the default budget, n <= 32
-    for Sym and n <= 36 for Alt.
+    Alt), which may be at most `ksets.DEFAULT_ENUMERATION_BUDGET` // 10**3,
+    read at each call: 10**4 classes, so n <= 32 for Sym and n <= 36 for Alt.
     """
     n, m, r = params.n, params.m, params.r
     if not 1 <= k <= n or M < 1:
         raise ValueError(f"need 1 <= k <= n and M >= 1, got k={k}, n={n}, M={M}")
-    limit = budget // 10**3
+    limit = ksets.DEFAULT_ENUMERATION_BUDGET // 10**3
     summed = (
         parts for parts in families.partitions(n, range(1, n + 1))
         if params.group == perms.SYM or (n - len(parts)) % 2 == 0

@@ -185,17 +185,8 @@ class Permutation:
         """lcm of the cycle lengths."""
         return math.lcm(*(len(c) for c in self.cycles()))
 
-    def order_divides(self, t: int) -> bool:
-        """True iff every cycle length divides t (no lcm needed)."""
-        if t < 1:
-            raise ValueError("t must be positive")
-        return all(t % len(c) == 0 for c in self.cycles())
-
-    def parity(self) -> str:
-        """'even' or 'odd'; even iff n minus the number of cycles is even."""
-        return "even" if self.is_even() else "odd"
-
     def is_even(self) -> bool:
+        """Even iff n minus the number of cycles is even."""
         return (self.n - len(self.cycles())) % 2 == 0
 
 

@@ -114,9 +114,15 @@ class TestSigmaCycle:
                         assert val <= 1
 
 
-def brute_sigma_Sigma(cycle_lengths, rm, k0):
-    from ksettrace.ksets import rotation_period
+def brute_rotation_period(t, local):
+    """The least divisor d of t whose shift maps the positions onto
+    themselves, trying every divisor in increasing order."""
+    pos = set(local)
+    return next(d for d in range(1, t + 1)
+                if t % d == 0 and {(x + d) % t for x in pos} == pos)
 
+
+def brute_sigma_Sigma(cycle_lengths, rm, k0):
     spans = []
     start = 0
     for t in cycle_lengths:
@@ -129,7 +135,7 @@ def brute_sigma_Sigma(cycle_lengths, rm, k0):
         for s0, t in spans:
             local = [x - s0 for x in pts if s0 <= x < s0 + t]
             if local:
-                length = math.lcm(length, rotation_period(t, local))
+                length = math.lcm(length, brute_rotation_period(t, local))
         if rm % length == 0:
             count += 1
     return count

@@ -272,7 +272,8 @@ class TestMembership:
         for parts in families.partitions(n, range(1, n + 1)):
             g = lay_type(parts, n, rng)
             if in_group(g, lp.group):
-                want = in_Ngood(g, lp)
+                want = lp.m in g.cycle_type() and lp.r * lp.m % g.order() == 0
+                assert in_Ngood(g, lp) == want
                 hits += want
                 assert families.is_ngood_type(parts, lp) == want
                 assert families.is_ngood_type(parts[::-1], lp) == want

@@ -57,8 +57,9 @@ class TestRunConditional:
 
     def test_ngood_stream_floor(self):
         st = montecarlo.run_conditional(cfg(condition="ngood", trials=3000, seed=5))
-        est = st.accept_given([families.FAMILY_N])
-        assert est.trials == 3000  # conditioned stream is all in N
+        # the conditioned stream is all in N
+        assert sum(c for (fam, _), c in st.contingency.items() if fam == families.FAMILY_N) == 3000
+        est = st.accept_overall()
         floor = (48 / 50) ** 4
         assert est.value >= floor - 3 * est.half_width
 
@@ -356,11 +357,22 @@ class TestExactConditional:
                         cells += 1
         assert cells == 51
 
-    def test_gate_counts_classes(self):
+    def test_gate_counts_classes(self, monkeypatch):
         lp = families.line_params_by_line(1, 7)  # 15 cycle types
-        assert exact_conditional(lp, 2, 4, budget=15 * 10**3).accept > 0
+        monkeypatch.setattr(ksets, "DEFAULT_ENUMERATION_BUDGET", 15 * 10**3)
+        assert exact_conditional(lp, 2, 4).accept > 0
+        monkeypatch.setattr(ksets, "DEFAULT_ENUMERATION_BUDGET", 14 * 10**3)
         with pytest.raises(ValueError, match="too large"):
-            exact_conditional(lp, 2, 4, budget=14 * 10**3)
+            exact_conditional(lp, 2, 4)
+
+    @pytest.mark.parametrize("line, n", [
+        (1, 33),  # Sym(33): 10143 cycle types
+        (4, 37),  # Alt(37): 10836 even cycle types
+    ])
+    def test_gate_refuses_past_limit(self, line, n):
+        lp = families.line_params_by_line(line, n)
+        with pytest.raises(ValueError, match="more than 10000 conjugacy classes"):
+            exact_conditional(lp, 2, 4)
 
 
 class TestSmallV:
@@ -388,7 +400,7 @@ class TestSmallV:
                 count = sum(
                     1
                     for g in perms.enumerate_group(SYM, v)
-                    if g.order_divides(rm)
+                    if rm % g.order() == 0
                 )
                 assert P == Fraction(count, math.factorial(v))
 

@@ -114,12 +114,13 @@ class TestCyclesOrderParity:
 
     @given(perm_strategy, st.integers(1, 40))
     def test_order_divides_equiv(self, p, t):
-        assert p.order_divides(t) == (t % p.order() == 0)
+        # o(p) divides t iff every cycle length does
+        assert (t % p.order() == 0) == all(t % len(c) == 0 for c in p.cycles())
 
     def test_parity(self):
-        assert Permutation.identity(5).parity() == "even"
-        assert Permutation.from_cycles(5, [[0, 1]]).parity() == "odd"
-        assert Permutation.from_cycles(5, [[0, 1, 2]]).parity() == "even"
+        assert Permutation.identity(5).is_even()
+        assert not Permutation.from_cycles(5, [[0, 1]]).is_even()
+        assert Permutation.from_cycles(5, [[0, 1, 2]]).is_even()
 
 
 class TestTextForms:
