@@ -11,7 +11,6 @@ them.  Rational quantities stay exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 

@@ -204,9 +204,8 @@ def cmd_verify(opts: dict, out) -> int:
     if suite in ("npk", "all"):
         for u in range(2, 13):
             for sizes in combinatorics.partitions_with_min_part(u):
-                P = combinatorics.SetPartition(sizes)
                 for k0 in range(2, u + 1):
-                    cnt = combinatorics.npk_count(P, k0)
+                    cnt = combinatorics.npk_count(sizes, k0)
                     b1, b2, b3 = combinatorics.npk_bounds(u, k0)
                     ok = cnt <= b1 and cnt <= b3 and (b2 is None or cnt <= b2)
                     emit(combinatorics.Verdict("npk", cnt, (b1, b2, b3), ok), sizes, k0)

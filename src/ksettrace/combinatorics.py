@@ -1,8 +1,11 @@
 """Exact counters and checkable inequalities for the cycle-structure analysis:
-a binomial product inequality, counts of subset-unions of partition parts,
-rotation-defective subset counts on cycles, and one checker per numeric lemma:
-exact rationals where possible, else intervals that enclose each rational
-(`_to_iv`), so a True verdict is never a float coincidence.
+a binomial product inequality, counts of subset-unions of partition parts
+(`npk_count(part_sizes, k0)`), rotation-defective subset counts on cycles,
+and one checker per numeric lemma: exact rationals where possible, else
+intervals that enclose each rational (`_to_iv`), so a True verdict is never
+a float coincidence.  A partition or cycle type is passed as its list of
+part or cycle lengths, the form the counting kernel
+`ksets.orbit_length_counts` reads.
 """
 
 from __future__ import annotations
@@ -17,23 +20,6 @@ import mpmath
 
 from .families import partitions
 from .ksets import orbit_length_counts
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of a u-set into anonymous parts, all of size >= 2."""
-
-    part_sizes: tuple[int, ...]
-
-    def __post_init__(self):
-        sizes = tuple(sorted(self.part_sizes))
-        object.__setattr__(self, "part_sizes", sizes)
-        if not sizes or any(p < 2 for p in sizes):
-            raise ValueError("every part must have size at least 2")
-
-    @property
-    def u(self) -> int:
-        return sum(self.part_sizes)
 
 
 @dataclass(frozen=True)
@@ -55,15 +41,19 @@ def check_binom_lemma(a: int, c: int, ell: int) -> Verdict:
     return Verdict("binom", lhs, rhs, lhs <= rhs)
 
 
-def npk_count(P: SetPartition, k0: int) -> int:
-    """Number of k0-subsets of the u-set that are unions of whole parts.
+def npk_count(part_sizes: Sequence[int], k0: int) -> int:
+    """Number of k0-subsets of a u-set that are unions of whole parts, for
+    a partition of the u-set into parts of the given sizes, each >= 2.
 
     These are the k0-subsets of orbit length 1 under a permutation whose
     cycles are the parts, so `ksets.orbit_length_counts` counts them at rm = 1.
     """
-    if not 2 <= k0 <= P.u:
-        raise ValueError(f"need 2 <= k0 <= u, got k0={k0}, u={P.u}")
-    return orbit_length_counts(P.part_sizes, k0, 1).get(1, 0)
+    u = sum(part_sizes)
+    if not part_sizes or any(p < 2 for p in part_sizes):
+        raise ValueError("need at least one part, every part of size at least 2")
+    if not 2 <= k0 <= u:
+        raise ValueError(f"need 2 <= k0 <= u, got k0={k0}, u={u}")
+    return orbit_length_counts(part_sizes, k0, 1).get(1, 0)
 
 
 def npk_bounds(u: int, k0: int) -> tuple[int, int | None, Fraction]:

@@ -5,15 +5,17 @@ frozenset of k ints: `random_ksubset` draws one uniformly, `parse_ksubset`
 reads the 1-based text form and `image` moves one pointwise.  In the
 conditional harness it is an n-bit int mask, bit x set for point x:
 `random_kmask` draws one uniformly with few calls to the generator, and the
-exact orbit-length engine, `layout_orbit_length`, reads it.  That engine
-takes the lcm of the rotation periods of cycles laid out as consecutive
-blocks, each found by shifting a block's bits and comparing;
-`cycle_length_exact` relabels a permutation into that layout, and its slow
-reference is capped tracing through `image`, `algorithms.orbit_length`.
+exact orbit-length engine, `layout_orbit_length`, reads it.  That engine,
+like the counting kernel, reads a cycle type as its list of cycle lengths:
+it lays the cycles on 0..n-1 as consecutive blocks in that order and takes
+the lcm of their rotation periods, each found by shifting a block's bits
+and comparing; `cycle_length_exact` relabels a permutation into that
+layout, and its slow reference is capped tracing through `image`,
+`algorithms.orbit_length`.
 One counting kernel, `orbit_length_counts`, counts k-subsets by orbit
 length over the divisors of rm; the exact pass fraction pi_g
 (`good_ksubset_fraction`), `combinatorics.sigma_Sigma` and, at rm = 1,
-`combinatorics.npk_count` read it.
+`combinatorics.npk_count(part_sizes, k0)` read it.
 Its per-cycle period tables are cached across calls, keyed by (t, gcd(t, rm))
 and built for every subset size, so the cache holds at most one table per
 pair (t, d) with d | t <= n, whatever k and rm a sweep visits.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Sequence
 
 from .families import accepted_lengths, divisors, prime_divisors
@@ -114,25 +116,23 @@ def cycle_length_exact(gamma: frozenset[int], g: Permutation) -> int:
     place = [0] * g.n
     for i, x in enumerate(chain.from_iterable(cycles)):
         place[x] = i
-    bounds = list(accumulate((len(c) for c in cycles), initial=0))
-    return layout_orbit_length(sum(1 << place[p] for p in gamma), bounds)
+    return layout_orbit_length(sum(1 << place[p] for p in gamma), [len(c) for c in cycles])
 
 
-def layout_orbit_length(mask: int, bounds: Sequence[int]) -> int:
+def layout_orbit_length(mask: int, lengths: Sequence[int]) -> int:
     """Orbit length of the point set with mask `mask` (bit x for point x)
-    under the permutation whose cycles are the blocks bounds[b] ..
-    bounds[b+1]-1 of 0..n-1 (bounds runs from 0 to n), each point mapped to
-    the next one in its block: the lcm of the rotation periods of the blocks
-    it meets."""
+    under the permutation with the given cycle lengths whose cycles are laid
+    on 0..n-1 as consecutive blocks in that order, each point mapped to the
+    next one in its block: the lcm of the rotation periods of the blocks it
+    meets."""
     result = 1
-    for start, end in zip(bounds, bounds[1:]):
-        rest = mask >> start
-        if not rest:
+    for t in lengths:
+        if not mask:
             break
-        t = end - start
-        bits = rest & ((1 << t) - 1)
+        bits = mask & ((1 << t) - 1)
         if bits:
             result = math.lcm(result, _rotation_period(t, bits))
+        mask >>= t
     return result
 
 

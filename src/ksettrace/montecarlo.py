@@ -11,7 +11,7 @@ import hashlib
 import io
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Iterable
@@ -44,13 +44,7 @@ class ExperimentConfig:
         return families.line_params(self.group, self.n, self.goal)
 
     def config_hash(self) -> str:
-        text = repr(
-            (
-                self.group, self.n, self.goal, self.k, self.M,
-                str(self.s), str(self.delta), self.eps, self.mode,
-                self.trials, self.seed, self.workers, self.condition,
-            )
-        )
+        text = repr(tuple(str(v) if isinstance(v, Fraction) else v for v in astuple(self)))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def validate(self) -> None:
@@ -232,15 +226,14 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
             else:
                 parts = sample_type(params.group, params.n, rng)
             fam = families.classify_type(parts, params, config.s)
-            bounds = list(accumulate(parts, initial=0))
             # same accept set as capped tracing: any orbit longer than rm
-            # cannot equal r0*m, and the exact engine is far cheaper here
-            accepted = True
-            for _ in range(config.M):
-                gamma = ksets.random_kmask(params.n, config.k, rng)
-                if ksets.layout_orbit_length(gamma, bounds) not in good_lengths:
-                    accepted = False
-                    break
+            # cannot equal r0*m, and the exact engine is far cheaper here;
+            # all() stops drawing at the first rejected subset
+            accepted = all(
+                ksets.layout_orbit_length(ksets.random_kmask(params.n, config.k, rng), parts)
+                in good_lengths
+                for _ in range(config.M)
+            )
             key = (fam, accepted)
             stats.contingency[key] = stats.contingency.get(key, 0) + 1
             if families.is_ngood_type(parts, params):

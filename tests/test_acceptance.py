@@ -94,9 +94,8 @@ def test_criterion_04_lemma_suite():
 
     for u in range(2, 13):
         for sizes in cb.partitions_with_min_part(u):
-            P = cb.SetPartition(sizes)
             for k0 in range(2, u + 1):
-                cnt = cb.npk_count(P, k0)
+                cnt = cb.npk_count(sizes, k0)
                 b1, b2, b3 = cb.npk_bounds(u, k0)
                 if cnt > b1 or cnt > b3 or (b2 is not None and cnt > b2):
                     violations.append(f"npk{sizes},{k0}")

@@ -52,28 +52,25 @@ def brute_npk(sizes, k0):
 
 class TestNpk:
     def test_examples(self):
-        assert cb.npk_count(cb.SetPartition((2, 2)), 2) == 2
-        assert cb.npk_count(cb.SetPartition((3, 2)), 2) == 1
-        assert cb.npk_count(cb.SetPartition((3, 2)), 5) == 1
+        assert cb.npk_count((2, 2), 2) == 2
+        assert cb.npk_count((3, 2), 2) == 1
+        assert cb.npk_count((3, 2), 5) == 1
 
     def test_k0_equals_u(self):
         for sizes in [(2, 2), (3, 4), (2, 2, 2, 3)]:
-            P = cb.SetPartition(sizes)
-            assert cb.npk_count(P, P.u) == 1
+            assert cb.npk_count(sizes, sum(sizes)) == 1
 
     def test_matches_brute_force(self):
         for u in range(2, 11):
             for sizes in cb.partitions_with_min_part(u):
-                P = cb.SetPartition(sizes)
                 for k0 in range(2, u + 1):
-                    assert cb.npk_count(P, k0) == brute_npk(sizes, k0)
+                    assert cb.npk_count(sizes, k0) == brute_npk(sizes, k0)
 
     def test_bounds_exhaustive(self):
         for u in range(2, 13):
             for sizes in cb.partitions_with_min_part(u):
-                P = cb.SetPartition(sizes)
                 for k0 in range(2, u + 1):
-                    cnt = cb.npk_count(P, k0)
+                    cnt = cb.npk_count(sizes, k0)
                     b1, b2, b3 = cb.npk_bounds(u, k0)
                     assert cnt <= b1
                     assert cnt <= b3
@@ -86,8 +83,9 @@ class TestNpk:
         assert cb.npk_bounds(6, 4)[2] == 3
 
     def test_part_size_guard(self):
-        with pytest.raises(ValueError):
-            cb.SetPartition((1, 3))
+        for sizes in [(1, 3), ()]:
+            with pytest.raises(ValueError, match="part"):
+                cb.npk_count(sizes, 2)
 
 
 class TestSigmaCycle:

@@ -2,7 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -527,8 +527,8 @@ class TestFastPaths:
             parts = montecarlo.sample_ngood(lp, rng)
         else:
             parts = montecarlo.sample_type(lp.group, lp.n, rng)
-        bounds = [sum(parts[:i]) for i in range(len(parts) + 1)]
-        g = Permutation.from_cycles(lp.n, [range(a, b) for a, b in zip(bounds, bounds[1:])])
+        points = iter(range(lp.n))
+        g = Permutation.from_cycles(lp.n, [list(islice(points, t)) for t in parts])
         assert sorted(g.cycle_type()) == sorted(parts)
         for _ in range(5):
             # a k of either draw path, and k = n//2, where 3k > n
@@ -536,7 +536,7 @@ class TestFastPaths:
                 mask = ksets.random_kmask(lp.n, k, rng)
                 gamma = mask_points(mask, lp.n)
                 assert len(gamma) == k
-                length = ksets.layout_orbit_length(mask, bounds)
+                length = ksets.layout_orbit_length(mask, parts)
                 assert length == ksets.cycle_length_exact(gamma, g) == trace(gamma, g, g.order())
 
     @pytest.mark.parametrize("line", range(1, 10))

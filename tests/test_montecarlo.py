@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -62,6 +63,28 @@ class TestRunConditional:
         est = st.accept_overall()
         floor = (48 / 50) ** 4
         assert est.value >= floor - 3 * est.half_width
+
+    @pytest.mark.parametrize("line, n, k, condition, contingency, ngood_trials, ngood_accepted", [
+        # uniform draws through the rng.sample mask path (3k <= n)
+        (1, 100, 2, "none", {("N", False): 1, ("N", True): 20, ("Other", False): 1885,
+                             ("R", False): 91, ("Sge2", False): 3}, 21, 20),
+        # the 3k > n fix-up path, with Alt's type redraws
+        (4, 21, 10, "none", {("N", True): 167, ("Other", False): 1585, ("R", False): 244,
+                             ("R", True): 4}, 167, 167),
+        # conditioned on N_good, with a few rejected trials
+        (2, 17, 8, "ngood", {("N", False): 3, ("N", True): 1997}, 2000, 1997),
+        (6, 20, 3, "ngood", {("N", False): 12, ("N", True): 1988}, 2000, 1988),
+    ])
+    def test_seeded_outputs_pinned(self, line, n, k, condition, contingency,
+                                   ngood_trials, ngood_accepted):
+        # the tallies move when the sampling stream changes; a cell with few
+        # rejections can miss one change, so four cells on both draw paths
+        # are pinned
+        group, goal = families.LINES[line][:2]
+        st = montecarlo.run_conditional(cfg(group=group, n=n, goal=goal, k=k, condition=condition,
+                                            trials=2000, seed=5, workers=2))
+        assert st.contingency == contingency
+        assert (st.ngood_trials, st.ngood_accepted) == (ngood_trials, ngood_accepted)
 
     @pytest.mark.parametrize("goal, n, seed", [
         (families.LONG_CYCLE, 9, 41),  # line 4
@@ -462,3 +485,12 @@ class TestConfig:
     def test_hash_stable(self):
         assert cfg().config_hash() == cfg().config_hash()
         assert cfg(seed=2).config_hash() != cfg(seed=3).config_hash()
+        assert cfg().config_hash() == "fc34462e740a"
+
+    def test_hash_reads_every_field(self):
+        other = dict(group=ALT, n=51, goal=families.TRANSPOSITION, k=4, M=5, s=Fraction(2, 3),
+                     delta=Fraction(1, 6), eps=0.2, mode="findmcycle", trials=999, seed=2,
+                     workers=2, condition="ngood")
+        assert set(other) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for name, value in other.items():
+            assert cfg(**{name: value}).config_hash() != cfg().config_hash(), name
