@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from .combinatorics import _to_iv
-from .families import LineParams, d_count
+from .families import LineParams, divisors
 
 __all__ = [
     "FamilyBoundReport",
@@ -202,7 +202,7 @@ def family_bounds(
     s = Fraction(s)
     r, m = line.r, line.m
     rm = r * m
-    drm = d_count(rm)
+    drm = len(divisors(rm))
     sm = _mpf(s)
     nn = mpmath.mpf(n)
     rn = mpmath.mpf(r * n)

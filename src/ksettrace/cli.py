@@ -262,10 +262,8 @@ def cmd_oracle(opts: dict, out) -> int:
         agrees = rho == params.rho
         print(f"line {params.line}: rho_oracle = {rho}, table rho = {params.rho}, agree = {agrees}", file=out)
         return EXIT_OK if agrees else EXIT_CHECK_FAILED
-    k, M = opts.get("k", 2), opts.get("M", 4)
-    if not 1 <= k <= params.n or M < 1:
-        raise UsageError(f"need 1 <= k <= n and M >= 1, got k={k}, n={params.n}, M={M}")
-    ex = montecarlo.exact_conditional(params, k, M)
+    with _reading_input():  # exact_conditional raises only on its arguments
+        ex = montecarlo.exact_conditional(params, opts.get("k", 2), opts.get("M", 4))
     print(f"accept: {ex.accept}", file=out)
     print(f"P(m-cycle | accept): {ex.n_given_accept}", file=out)
     print(f"p: {ex.p}  p1: {ex.p1}  p2: {ex.p2}  q: {ex.q}", file=out)

@@ -293,13 +293,10 @@ def accepted_lengths(m: int, r: int) -> frozenset[int]:
     return frozenset(r0 * m for r0 in divisors(r))
 
 
-def d_count(x: int) -> int:
-    """Number of positive divisors of x."""
-    return len(divisors(x))
-
-
-def prime_divisors(x: int) -> list[int]:
-    """The distinct prime divisors of x, increasing."""
+@functools.cache  # read by every rotation-period search in `ksets`
+def prime_divisors(x: int) -> tuple[int, ...]:
+    """The distinct prime divisors of x, increasing, as a tuple no caller
+    can change."""
     if x < 1:
         raise ValueError("x must be positive")
     out = []
@@ -312,7 +309,7 @@ def prime_divisors(x: int) -> list[int]:
         d += 1
     if x > 1:
         out.append(x)
-    return out
+    return tuple(out)
 
 
 def centralizer_order(parts) -> int:

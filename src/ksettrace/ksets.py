@@ -91,19 +91,13 @@ def _rotation_period(t: int, bits: int) -> int:
     full = (1 << t) - 1
     step = t // math.gcd(bits.bit_count(), t)
     d = t
-    for q in _prime_divisors(t // step):
+    for q in prime_divisors(t // step):
         while (d // step) % q == 0:
             s = d // q
             if ((bits << s) | (bits >> (t - s))) & full != bits:
                 break
             d = s
     return d
-
-
-@functools.cache
-def _prime_divisors(x: int) -> tuple[int, ...]:
-    """`families.prime_divisors`, cached, as a tuple no caller can change."""
-    return tuple(prime_divisors(x))
 
 
 def cycle_length_exact(gamma: frozenset[int], g: Permutation) -> int:

@@ -280,25 +280,19 @@ class ExactConditional:
     q_by_family: dict
 
 
-def exact_conditional(
-    params: LineParams,
-    k: int,
-    M: int,
-    s: Fraction = Fraction(5, 8),
-) -> ExactConditional:
-    """Exact acceptance probabilities by summing over conjugacy classes:
-    for an element g, the per-point pass chance pi_g is the fraction of
-    k-subsets with orbit length r0*m (r0 | r), and Prob(accept) = pi_g^M;
-    both are class functions, as are the family and N_good membership, so
-    each cycle type is summed from its parts alone.
+def class_table(params: LineParams, k: int, s: Fraction = Fraction(5, 8)) -> list[tuple]:
+    """One row (parts, size, pi_g, family, in N_good) per cycle type of the
+    line's group (the even ones for Alt): its class holds size = n!/z
+    elements, and pi_g, the fraction of k-subsets with orbit length r0*m
+    (r0 | r), the family (`families.classify_type`) and N_good membership
+    (`families.is_ngood_type`) are class functions.  No row depends on M.
 
-    The cost grows with the number of cycle types summed (the even ones for
-    Alt), which may be at most `ksets.DEFAULT_ENUMERATION_BUDGET` // 10**3,
-    read at each call: 10**4 classes, so n <= 32 for Sym and n <= 36 for Alt.
+    At most `ksets.DEFAULT_ENUMERATION_BUDGET` // 10**3 types, read at each
+    call: 10**4 classes, so n <= 32 for Sym and n <= 36 for Alt.
     """
     n, m, r = params.n, params.m, params.r
-    if not 1 <= k <= n or M < 1:
-        raise ValueError(f"need 1 <= k <= n and M >= 1, got k={k}, n={n}, M={M}")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     limit = ksets.DEFAULT_ENUMERATION_BUDGET // 10**3
     summed = (
         parts for parts in families.partitions(n, range(1, n + 1))
@@ -306,23 +300,32 @@ def exact_conditional(
     )
     types = list(islice(summed, limit + 1))  # never lists more than needed to refuse
     if len(types) > limit:
-        raise ValueError(
-            f"cell too large for the exact oracle budget: more than {limit} conjugacy classes"
-        )
+        raise ValueError("cell too large for the exact oracle budget: "
+                         f"more than {limit} conjugacy classes")
     fact = math.factorial(n)
     subsets = math.comb(n, k)
-    group_order = fact // (1 if params.group == perms.SYM else 2)
+    return [(parts, fact // families.centralizer_order(parts),
+             Fraction(ksets.good_ksubset_count(parts, k, m, r), subsets),
+             families.classify_type(parts, params, s), families.is_ngood_type(parts, params))
+            for parts in types]
 
+
+def table_conditional(table: list[tuple], M: int) -> ExactConditional:
+    """The exact rationals of a `class_table` at M traced points: a class of
+    size n!/z and pass fraction pi_g holds size * pi_g^M accepted elements,
+    and the class sizes sum to |G|."""
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got M={M}")
+    group_order = 0
     ngood_size = 0
     ngood_accept = Fraction(0)
     accept_by_family: dict[str, Fraction] = {}
 
-    for parts in types:
-        size = fact // families.centralizer_order(parts)
-        mass = size * Fraction(ksets.good_ksubset_count(parts, k, m, r), subsets) ** M
-        fam = families.classify_type(parts, params, s)
+    for _, size, pi, fam, ngood in table:
+        group_order += size
+        mass = size * pi**M
         accept_by_family[fam] = accept_by_family.get(fam, Fraction(0)) + mass
-        if families.is_ngood_type(parts, params):
+        if ngood:
             ngood_size += size
             ngood_accept += mass
 
@@ -331,13 +334,22 @@ def exact_conditional(
     total_accept = accept_in_N + accept_out_N
     accept = total_accept / group_order
     p = 1 - accept
-    # a class's rejected mass is its size less its accepted mass; sizes sum to |G|
+    # a class's rejected mass is its size less its accepted mass
     p1 = (ngood_size - ngood_accept) / ngood_size
     p2 = (group_order - total_accept - ngood_size + ngood_accept) / (group_order - ngood_size)
     q = accept_out_N / group_order
     q_by_family = {fam: val / group_order for fam, val in accept_by_family.items()}
     n_given_accept = accept_in_N / total_accept if total_accept else Fraction(0)
     return ExactConditional(accept, n_given_accept, p, p1, p2, q, q_by_family)
+
+
+def exact_conditional(params: LineParams, k: int, M: int,
+                      s: Fraction = Fraction(5, 8)) -> ExactConditional:
+    """Exact acceptance probabilities at M traced points, summed over
+    conjugacy classes: `table_conditional` of the line's `class_table`."""
+    if not 1 <= k <= params.n or M < 1:
+        raise ValueError(f"need 1 <= k <= n and M >= 1, got k={k}, n={params.n}, M={M}")
+    return table_conditional(class_table(params, k, s), M)
 
 
 def small_v_proportions(
@@ -355,10 +367,6 @@ def small_v_proportions(
     """
     if v < 0:
         raise ValueError("v must be >= 0")
-    if v == 0:
-        # the empty permutation has order 1 and no cycles at all, so it
-        # counts for P and P0 but has no s-large cycle
-        return Fraction(1), Fraction(1), Fraction(0)
     if v > 12:
         raise ValueError("limited to v <= 12")
     s = Fraction(s)

@@ -52,7 +52,7 @@ class TestCDeltaSearch:
 
     def test_is_lower_bound(self):
         val, arg = bounds.c_delta_search(Fraction(1, 6), 10**6)
-        assert abs(families.d_count(arg) / arg ** (1 / 6) - val) < 1e-9
+        assert abs(len(families.divisors(arg)) / arg ** (1 / 6) - val) < 1e-9
 
 
 class TestADelta:
@@ -117,7 +117,7 @@ class TestFamilyBounds:
         rep = bounds.family_bounds(
             10**4, 2, 4, Fraction(5, 8), 6.25, line
         )
-        d = families.d_count(line.r * line.m)
+        d = len(families.divisors(line.r * line.m))
         assert abs(rep.bounds["Sge2"] - d**2 / (10**4) ** 1.25) < 1e-12
         assert all(v > 0 for v in rep.bounds.values())
 

@@ -381,9 +381,12 @@ class TestExitCodes:
         ["oracle", "--group", "sym", "--n", "7", "--goal", "transposition",
          "--what", "conditional", "--M", "0"],
         ["experiment", "--group", "sym", "--n", "20", "--goal", "no-such-goal", "--seed", "1"],
+        ["oracle", "--group", "sym", "--n", "40", "--goal", "long-cycle", "--what", "conditional"],
     ])
-    def test_bad_input_exits_2(self, argv):
+    def test_bad_input_exits_2(self, argv, capsys):
         assert run(argv)[0] == 2
+        if "40" in argv:  # refused by the class limit, not by a flag check
+            assert "too large" in capsys.readouterr().err
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         code, out = run(["verify", "--config", str(tmp_path / "missing.json")])

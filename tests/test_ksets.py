@@ -169,10 +169,9 @@ class TestRotationPeriodDescent:
 
     def test_prime_cache_returns_tuples(self):
         for x in (1, 2, 12, 64, 97, 200):
-            primes = ksets._prime_divisors(x)
+            primes = families.prime_divisors(x)
             assert isinstance(primes, tuple)
-            assert primes == tuple(families.prime_divisors(x))
-            assert ksets._prime_divisors(x) is primes
+            assert families.prime_divisors(x) is primes
 
 
 class TestExactEngine:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 from collections import Counter
@@ -10,7 +11,9 @@ from ksettrace import algorithms, families, ksets, montecarlo, perms
 from ksettrace.montecarlo import (
     ExactConditional,
     ExperimentConfig,
+    class_table,
     exact_conditional,
+    table_conditional,
     wilson_interval,
 )
 from ksettrace.perms import ALT, SYM
@@ -286,24 +289,24 @@ class TestSampleType:
             assert a.random() == b.random()
 
 
-def element_conditional(lp, k, M, elements):
-    """ExactConditional summed over the group's elements, given as
-    (g, family, in N_good) triples."""
-    order = len(elements)
+def element_conditional(M, elements):
+    """ExactConditional summed over the group's elements, given as a Counter
+    of (pi_g, family, in N_good) triples, one count per element."""
+    order = sum(elements.values())
     total = in_n = reject_ngood = reject_rest = Fraction(0)
     ngood = 0
     by_family: dict = {}
-    for g, fam, good in elements:
-        acc = ksets.good_ksubset_fraction(g, k, lp.m, lp.r) ** M
+    for (pi, fam, good), count in elements.items():
+        acc = count * pi**M
         total += acc
         by_family[fam] = by_family.get(fam, Fraction(0)) + acc
         if fam == families.FAMILY_N:
             in_n += acc
         if good:
-            ngood += 1
-            reject_ngood += 1 - acc
+            ngood += count
+            reject_ngood += count - acc
         else:
-            reject_rest += 1 - acc
+            reject_rest += count - acc
     return ExactConditional(
         accept=total / order,
         n_given_accept=in_n / total,
@@ -343,8 +346,13 @@ class TestExactConditional:
                 for g in perms.enumerate_group(lp.group, n)
             ]
             for k in (2, 3):
-                want = element_conditional(lp, k, 4, elements)
-                assert exact_conditional(lp, k, 4, s) == want, (line, n, k)
+                table = class_table(lp, k, s)
+                passes = Counter((ksets.good_ksubset_fraction(g, k, lp.m, lp.r), fam, good)
+                                 for g, fam, good in elements)
+                for M in (1, 4, 8):  # one table serves every M
+                    want = element_conditional(M, passes)
+                    assert table_conditional(table, M) == want, (line, n, k, M)
+                    assert exact_conditional(lp, k, M, s) == want, (line, n, k, M)
 
     def test_alt_group(self):
         lp = families.line_params(ALT, 8, families.THREE_CYCLE)
@@ -374,11 +382,56 @@ class TestExactConditional:
                 if len(families.prime_divisors(lp.m)) != 1:
                     continue
                 for k in sorted({2, 3, n // 2}):
-                    ex = exact_conditional(lp, k, 4)
+                    table = class_table(lp, k)
+                    ex = table_conditional(table, 4)
+                    assert ex == exact_conditional(lp, k, 4)
                     if ex.accept > 0:
                         assert ex.n_given_accept == 1, (line, n, k)
+                        # every class that can pass lies in N, so this holds at every M
+                        assert all(fam == families.FAMILY_N
+                                   for _, _, pi, fam, _ in table if pi > 0), (line, n, k)
                         cells += 1
         assert cells == 51
+
+    @pytest.mark.parametrize("line, n", [
+        (1, 8), (2, 9), (3, 8), (4, 9), (5, 8), (6, 8), (7, 9), (8, 12), (9, 7)])
+    def test_class_table_sizes(self, line, n):
+        lp = families.line_params_by_line(line, n)
+        table = class_table(lp, 2)
+        order = math.factorial(n) // (1 if lp.group == SYM else 2)
+        assert sum(size for _, size, _, _, _ in table) == order
+        ngood = sum(size for _, size, _, _, good in table if good)
+        assert Fraction(ngood, order) == families.exact_rho(lp.group, n, lp.m, lp.r) / lp.m
+        for parts, size, _, _, _ in table:
+            assert size == math.factorial(n) // families.centralizer_order(parts)
+
+    def test_table_parts_check_their_argument(self):
+        lp = families.line_params(SYM, 7, families.TRANSPOSITION)
+        for k in (0, 8):
+            with pytest.raises(ValueError, match="need 1 <= k <= n"):
+                class_table(lp, k)
+        table = class_table(lp, 2)
+        for M in (0, -1):
+            with pytest.raises(ValueError, match="M must be >= 1"):
+                table_conditional(table, M)
+
+    @pytest.mark.parametrize("line, n, k, want", [
+        (3, 12, 6, {1: "b15b1e4acba252e5", 4: "2df66e48532ad34f", 8: "461cf3ae524fcab8"}),
+        (1, 20, 10, {1: "42de4be71f6f3950", 4: "8c1d9718eaf45684", 8: "4e2da09191363a22"}),
+        # every class passes all or none of its 7-subsets here, so M changes nothing
+        (6, 14, 7, {1: "6b58b7105097aaf6", 4: "6b58b7105097aaf6", 8: "6b58b7105097aaf6"}),
+    ])
+    def test_fields_pinned_past_brute_force(self, line, n, k, want):
+        # all seven fields, recorded before the class table was split from
+        # exact_conditional, on cells too large to enumerate element by element
+        lp = families.line_params_by_line(line, n)
+        table = class_table(lp, k)
+        for M, digest in want.items():
+            ex = table_conditional(table, M)
+            assert ex == exact_conditional(lp, k, M)
+            fields = (ex.accept, ex.n_given_accept, ex.p, ex.p1, ex.p2, ex.q,
+                      sorted(ex.q_by_family.items()))
+            assert hashlib.sha256(repr(fields).encode()).hexdigest()[:16] == digest, M
 
     def test_gate_counts_classes(self, monkeypatch):
         lp = families.line_params_by_line(1, 7)  # 15 cycle types
