@@ -1,6 +1,13 @@
 """Explicit-constant machinery: admissibility of (M, s, delta), the divisor
 constant c_delta, the derived constants a_delta, ell, b_M, the n-threshold
-predicate, and the per-family probability bound functions.
+predicate, and the per-family probability ceilings.
+
+Each family that can fool the test (R, S0, S1+, S1-, S>=2) has a ceiling
+coefficient * D^j / n^e at divisor count D = d(rm), written once in
+`_ceilings`.  As D <= c_delta (rm)^delta <= c_delta r^delta n^delta, ell is
+the least e - j delta (`ell_value`) and b_M the sum of the coefficients at
+D = c_delta r^delta (`b_M_eval`); the ceilings at D = d(rm)
+(`family_bounds`) sum to at most b_M n^-ell.
 
 Point evaluation is done in mpmath at 60 significant digits, set per call
 by `mpmath.workdps`, so the caller's precision is left alone.  Certified
@@ -16,19 +23,9 @@ from fractions import Fraction
 
 import mpmath
 
-from .combinatorics import _to_iv
-from .families import LineParams, divisors
-
-__all__ = [
-    "FamilyBoundReport",
-    "validate_params",
-    "c_delta_search",
-    "a_delta_eval",
-    "b_M_eval",
-    "n_threshold",
-    "n_satisfies",
-    "family_bounds",
-]
+from .combinatorics import _to_iv, size_hypothesis
+from .families import (FAMILY_R, FAMILY_S0, FAMILY_S1MINUS, FAMILY_S1PLUS, FAMILY_SGE2,
+                       LineParams, divisors)
 
 
 @dataclass(frozen=True)
@@ -44,20 +41,35 @@ class FamilyBoundReport:
     hypothesis_flags: dict
 
 
+def _ceilings(M: int, s: Fraction) -> dict:
+    """family -> (coefficient, e, j): the family's probability ceiling is
+    coefficient(r, a_delta) * D^j / n^e at divisor count D = d(rm).  The
+    exponent e is exact; the coefficient takes r and a_delta as mpmath
+    numbers.  R and S1- are met once per traced point, so they share the
+    exponent `per_point`."""
+    sm = _mpf(s)
+    per_point = M * (1 - s)
+    return {
+        FAMILY_R: (lambda r, a: (mpmath.mpf(33) / 8) ** M, per_point, 0),
+        FAMILY_S0: (lambda r, a: 72 * a * r ** (2 * sm), 3 - 2 * s, 2),
+        FAMILY_S1PLUS: (lambda r, a: mpmath.mpf("6.24") * a, 1 + s, 3),
+        FAMILY_SGE2: (lambda r, a: r ** (-2 * sm), 2 * s, 2),
+        FAMILY_S1MINUS: (lambda r, a: (31 / r ** (1 - sm)) ** M, per_point, 0),
+    }
+
+
 def ell_value(M: int, s: Fraction, delta: Fraction) -> Fraction:
-    """ell = min{M(1-s), 3-2s-2delta, 1+s-3delta, 2s-2delta}, exact."""
+    """ell = min of e - j delta over the family ceilings, exact."""
     s, delta = Fraction(s), Fraction(delta)
-    return min(
-        M * (1 - s),
-        3 - 2 * s - 2 * delta,
-        1 + s - 3 * delta,
-        2 * s - 2 * delta,
-    )
+    return min(e - j * delta for _, e, j in _ceilings(M, s).values())
 
 
 def validate_params(M: int, s: Fraction, delta: Fraction) -> dict:
     """Check M >= 4, the (s, delta) window 0 < delta < min{1-s, s/3, s-1/2}
-    with 1/2 < s < (M-1)/M, and ell > 1.  Violations are returned as data."""
+    with 1/2 < s < (M-1)/M, and ell > 1.  Violations are returned as data;
+    M < 1, which traces no point, raises ValueError."""
+    if M < 1:
+        raise ValueError(f"need M >= 1, got {M}")
     s, delta = Fraction(s), Fraction(delta)
     violations = []
     if M < 4:
@@ -128,29 +140,16 @@ def a_delta_eval(c_delta: float, s: Fraction, delta: Fraction) -> float:
 
 
 @mpmath.workdps(60)
-def b_M_eval(
-    M: int,
-    s: Fraction,
-    delta: Fraction,
-    r: int,
-    c_delta: float,
-    a_delta: float,
-) -> float:
-    """b_M = (33/8)^M + 72 a c^2 r^(2s+2d) + 6.24 a c^3 r^(3d)
-    + c^2 / r^(2s-2d) + (31 / r^(1-s))^M, in high precision."""
-    s, delta = Fraction(s), Fraction(delta)
-    sm, dm = _mpf(s), _mpf(delta)
-    rr = mpmath.mpf(r)
-    c = mpmath.mpf(c_delta)
-    a = mpmath.mpf(a_delta)
-    val = (
-        (mpmath.mpf(33) / 8) ** M
-        + 72 * a * c**2 * rr ** (2 * sm + 2 * dm)
-        + mpmath.mpf("6.24") * a * c**3 * rr ** (3 * dm)
-        + c**2 / rr ** (2 * sm - 2 * dm)
-        + (31 / rr ** (1 - sm)) ** M
-    )
-    return float(val)
+def b_M_eval(M: int, s: Fraction, delta: Fraction, r: int, c_delta: float,
+             a_delta: float) -> float:
+    """b_M, the sum of the `_ceilings` coefficients at divisor count
+    D = c_delta r^delta, in high precision."""
+    if r < 1 or c_delta < 0 or a_delta < 0:
+        raise ValueError(f"need r >= 1, c_delta >= 0 and a_delta >= 0, "
+                         f"got r={r}, c_delta={c_delta}, a_delta={a_delta}")
+    rr, a = mpmath.mpf(r), mpmath.mpf(a_delta)
+    D = mpmath.mpf(c_delta) * rr ** _mpf(Fraction(delta))
+    return float(sum(coef(rr, a) * D**j for coef, _, j in _ceilings(M, Fraction(s)).values()))
 
 
 @mpmath.workdps(60)
@@ -161,17 +160,20 @@ def n_satisfies(n: int, s: Fraction, r: int, ell: Fraction, b_M: float, eps: flo
     The first is exact (integer cross-powers); the others use interval
     arithmetic so a True flag is certified.
     """
+    _check_eps(eps)
     thr = _threshold_iv(ell, b_M, eps)
     return {**_size_log_flags(n, s, r), "threshold": mpmath.iv.mpf(n).a >= thr.b}
 
 
 def _size_log_flags(n: int, s: Fraction, r: int) -> dict:
     s = Fraction(s)
-    p, q = s.numerator, s.denominator
-    rn = r * n
-    size = n >= 6 and 12**q * rn**p <= (n - 6) ** q
-    log_iv = mpmath.iv.mpf(rn) ** _to_iv(s) * mpmath.iv.log(mpmath.iv.mpf(n))
-    return {"size": size, "log": log_iv.b <= n}
+    log_iv = mpmath.iv.mpf(r * n) ** _to_iv(s) * mpmath.iv.log(mpmath.iv.mpf(n))
+    return {"size": size_hypothesis(n, r, s), "log": log_iv.b <= n}
+
+
+def _check_eps(eps: float) -> None:
+    if not eps > 0:
+        raise ValueError(f"need eps > 0, got {eps}")
 
 
 def _threshold_iv(ell: Fraction, b_M: float, eps: float):
@@ -182,40 +184,25 @@ def _threshold_iv(ell: Fraction, b_M: float, eps: float):
 @mpmath.workdps(60)
 def n_threshold(ell: Fraction, b_M: float, eps: float) -> float:
     """log10 of (10 b_M / eps)^(1/(ell-1)), the third constraint's cutoff."""
+    _check_eps(eps)
     val = (10 * mpmath.mpf(b_M) / mpmath.mpf(eps)) ** (1 / _mpf(Fraction(ell) - 1))
     return float(mpmath.log10(val))
 
 
 @mpmath.workdps(60)
-def family_bounds(
-    n: int,
-    k: int,
-    M: int,
-    s: Fraction,
-    a_delta: float,
-    line: LineParams,
-) -> FamilyBoundReport:
-    """The five per-family probability ceilings at degree n, plus the
+def family_bounds(n: int, k: int, M: int, s: Fraction, a_delta: float,
+                  line: LineParams) -> FamilyBoundReport:
+    """The five `_ceilings` at degree n and D = d(rm), plus the
     acceptance floor ((n-2)/n)^M, the bad-k-subset-proportion ceiling
     sqrt(8k) (3k/4m)^ceil(k/2), and the size and log n-constraints (the
     third needs b_M; see `n_satisfies`)."""
     s = Fraction(s)
     r, m = line.r, line.m
-    rm = r * m
-    drm = len(divisors(rm))
-    sm = _mpf(s)
+    D = len(divisors(r * m))
     nn = mpmath.mpf(n)
-    rn = mpmath.mpf(r * n)
-    a = mpmath.mpf(a_delta)
-    bounds_ = {
-        "R": float((mpmath.mpf(33) / (8 * nn ** (1 - sm))) ** M),
-        "S0": float(72 * a * drm**2 * mpmath.mpf(r) ** (2 * sm) / nn ** (3 - 2 * sm)),
-        "S1plus": float(mpmath.mpf("6.24") * a * drm**3 / nn ** (1 + sm)),
-        "Sge2": float(drm**2 / rn ** (2 * sm)),
-        "S1minus": float((31 / rn ** (1 - sm)) ** M),
-    }
+    rr, a = mpmath.mpf(r), mpmath.mpf(a_delta)
+    bounds_ = {fam: float(coef(rr, a) * D**j / nn ** _mpf(e))
+               for fam, (coef, e, j) in _ceilings(M, s).items()}
     success_floor = float(((nn - 2) / nn) ** M)
-    mcyc_ceiling = float(
-        mpmath.sqrt(8 * k) * (mpmath.mpf(3 * k) / (4 * m)) ** ((k + 1) // 2)
-    )
+    mcyc_ceiling = float(mpmath.sqrt(8 * k) * (mpmath.mpf(3 * k) / (4 * m)) ** ((k + 1) // 2))
     return FamilyBoundReport(n, bounds_, success_floor, mcyc_ceiling, _size_log_flags(n, s, r))

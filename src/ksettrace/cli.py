@@ -232,25 +232,25 @@ def cmd_bounds(opts: dict, out) -> int:
     M = opts.get("M", 4)
     s = opts.get("s", Fraction(5, 8))
     delta = opts.get("delta", Fraction(1, 24))
-    report = bounds.validate_params(M, s, delta)
-    print(f"admissible: {report['ok']}  ell: {report['ell']}", file=out)
+    with _reading_input():  # every value is computed before any is printed
+        report = bounds.validate_params(M, s, delta)
+        if "cdelta" in opts:
+            c_delta, arg = opts["cdelta"], None
+        else:
+            c_delta, arg = bounds.c_delta_search(delta, 10**7)
+        a_delta = opts["adelta"] if "adelta" in opts else bounds.a_delta_eval(c_delta, s, delta)
+        b_M = bounds.b_M_eval(M, s, delta, opts.get("r", 1), c_delta, a_delta)
+        ell = report["ell"]
+        log10_thr = bounds.n_threshold(ell, b_M, opts.get("eps", 1.0)) if ell > 1 else None
+    print(f"admissible: {report['ok']}  ell: {ell}", file=out)
     for v in report["violations"]:
         print(f"violation: {v}", file=out)
-    if "cdelta" in opts:
-        c_delta = opts["cdelta"]
-    else:
-        c_delta, arg = bounds.c_delta_search(delta, 10**7)
+    if arg is not None:
         print(f"c_delta lower bound: {c_delta} at x={arg}", file=out)
-    if "adelta" in opts:
-        a_delta = opts["adelta"]
-    else:
-        a_delta = bounds.a_delta_eval(c_delta, s, delta)
-    b_M = bounds.b_M_eval(M, s, delta, opts.get("r", 1), c_delta, a_delta)
     print(f"c_delta: {c_delta}", file=out)
     print(f"a_delta: {a_delta}", file=out)
     print(f"b_M: {b_M}", file=out)
-    if report["ell"] > 1:
-        log10_thr = bounds.n_threshold(report["ell"], b_M, opts.get("eps", 1.0))
+    if log10_thr is not None:
         print(f"log10 n-threshold: {log10_thr}", file=out)
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
@@ -258,7 +258,8 @@ def cmd_bounds(opts: dict, out) -> int:
 def cmd_oracle(opts: dict, out) -> int:
     params = _line(opts)
     if opts.get("what", "rho") == "rho":
-        rho = families.rho_oracle(params)
+        with _reading_input():  # rho_oracle raises only past its n <= 9 limit
+            rho = families.rho_oracle(params)
         agrees = rho == params.rho
         print(f"line {params.line}: rho_oracle = {rho}, table rho = {params.rho}, agree = {agrees}", file=out)
         return EXIT_OK if agrees else EXIT_CHECK_FAILED

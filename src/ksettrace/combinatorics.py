@@ -155,10 +155,10 @@ def check_simple(n: int, r: int, s: Fraction, t: int = 1) -> Verdict:
         raise ValueError("need 1/2 < s < 1")
     if t < 1:
         raise ValueError("need t >= 1")
+    if not size_hypothesis(n, r, s):
+        raise ValueError(f"hypothesis 12(rn)^s + 6 <= n fails at n={n}, r={r}, s={s}")
     p, q = s.numerator, s.denominator
     rn = r * n
-    if n < 6 or 12**q * rn**p > (n - 6) ** q:
-        raise ValueError(f"hypothesis 12(rn)^s + 6 <= n fails at n={n}, r={r}, s={s}")
     lhs = 12**q * rn**p
     rhs = n**q
     holds = lhs < rhs and n >= 156
@@ -167,6 +167,13 @@ def check_simple(n: int, r: int, s: Fraction, t: int = 1) -> Verdict:
     if s == Fraction(2, 3):
         holds = holds and n >= 1746
     return Verdict("lem:simple", lhs, rhs, holds)
+
+
+def size_hypothesis(n: int, r: int, s: Fraction) -> bool:
+    """12 (rn)^s + 6 <= n, exactly: 12^q (rn)^p <= (n - 6)^q with s = p/q.
+    The hypothesis of lem:simple and the first n-constraint of `bounds`."""
+    p, q = s.numerator, s.denominator
+    return n >= 6 and 12**q * (r * n) ** p <= (n - 6) ** q
 
 
 def check_ns_a(x: Fraction) -> Verdict:

@@ -159,8 +159,8 @@ def classify_type(lengths, params: LineParams, s: Fraction) -> str:
     cycle lengths, in any order.
 
     Delta is the union of the cycles whose length divides rm, so v is the
-    sum of those lengths.  The s-large threshold (rn)^s is compared exactly
-    via integer cross-powers.
+    sum of those lengths.  Past R (v <= 4 (rn)^s), `split_s_large` of Delta
+    at threshold (rn)^s decides.  Compared exactly via integer cross-powers.
     """
     check_s(s)
     p, q = s.numerator, s.denominator
@@ -172,18 +172,26 @@ def classify_type(lengths, params: LineParams, s: Fraction) -> str:
     rm = params.r * m
     delta = [t for t in lengths if rm % t == 0]
     v = sum(delta)
-    rn_p = (params.r * params.n) ** p
+    rn = params.r * params.n
     # v <= 4 (rn)^s, exactly: v^q <= 4^q rn^p
-    if v**q <= 4**q * rn_p:
+    if v**q <= 4**q * rn**p:
         return FAMILY_R
-    # s-large: cycle length d with d >= (rn)^s, i.e. d^q >= rn^p
-    large = [t for t in delta if t**q >= rn_p]
+    return split_s_large(delta, rn, s)
+
+
+def split_s_large(lengths, base: int, s: Fraction) -> str:
+    """S0, S>=2, S1+ or S1- for a union of cycles of these lengths, v in
+    all, by its s-large cycles (length d >= base^s): none is S0, two or
+    more S>=2, and one, C, is S1+ when v - |C| > 3 base^s, else S1-.
+    Compared exactly via integer cross-powers."""
+    p, q = s.numerator, s.denominator
+    thr = base**p  # d >= base^s iff d^q >= base^p
+    large = [t for t in lengths if t**q >= thr]
     if not large:
         return FAMILY_S0
     if len(large) >= 2:
         return FAMILY_SGE2
-    # v - |C| > 3 (rn)^s, exactly: (v - |C|)^q > 3^q rn^p
-    if (v - large[0]) ** q > 3**q * rn_p:
+    if (sum(lengths) - large[0]) ** q > 3**q * thr:
         return FAMILY_S1PLUS
     return FAMILY_S1MINUS
 

@@ -50,7 +50,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ValueError on a bad value or combination of values: the
         line must exist, k, M, trials and workers lie in range, s in
-        (1/2, 1), and the detector's eps and M hold in findmcycle mode."""
+        (1/2, 1), the detector's eps and M hold in findmcycle mode, and
+        the ngood condition applies to conditional mode only."""
         self.line()
         families.check_s(self.s)
         if not 2 <= self.k <= self.n // 2:
@@ -67,6 +68,8 @@ class ExperimentConfig:
             algorithms.check_detector_args(self.eps, self.M)
         if self.condition not in ("none", "ngood"):
             raise ValueError(f"unknown condition {self.condition!r}")
+        if self.condition == "ngood" and self.mode != "conditional":
+            raise ValueError(f"condition 'ngood' needs mode 'conditional', got {self.mode!r}")
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -352,50 +355,39 @@ def exact_conditional(params: LineParams, k: int, M: int,
     return table_conditional(class_table(params, k, s), M)
 
 
-def small_v_proportions(
-    v: int,
-    rm: int,
-    s: Fraction,
-    n: int | None = None,
-) -> tuple[Fraction, Fraction, Fraction]:
+def small_v_proportions(v: int, rm: int, s: Fraction,
+                        n: int | None = None) -> tuple[Fraction, Fraction, Fraction]:
     """(P, P0, P1plus) for S_v: proportions of elements of order dividing rm
     (P), with additionally every cycle s-small (P0), or with exactly one
     s-large cycle whose length d satisfies n^s <= d < v - 3n^s (P1plus).
 
-    The s-large threshold is n^s with n defaulting to v; comparisons are
-    exact integer cross-powers.  Computed by summing 1/z over cycle types.
+    The s-large threshold is n^s with n defaulting to v; each type is
+    split by `families.split_s_large` (S0 or S1+).  Computed by summing 1/z
+    over cycle types.
     """
     if v < 0:
         raise ValueError("v must be >= 0")
     if v > 12:
         raise ValueError("limited to v <= 12")
     s = Fraction(s)
-    p_, q_ = s.numerator, s.denominator
-    thr = (n if n is not None else v) ** p_  # d is s-large iff d^q >= n^p
-
-    def is_large(d: int) -> bool:
-        return d**q_ >= thr
-
-    P = Fraction(0)
-    P0 = Fraction(0)
-    P1 = Fraction(0)
+    families.check_s(s)
+    base = n if n is not None else v
+    P = P0 = P1 = Fraction(0)
     for parts in families.partitions(v, families.divisors(rm)):
         weight = Fraction(1, families.centralizer_order(parts))
         P += weight
-        large = [d for d in parts if is_large(d)]
-        if not large:
+        family = families.split_s_large(parts, base, s)
+        if family == families.FAMILY_S0:
             P0 += weight
-        elif len(large) == 1:
-            d = large[0]
-            # d in the window [n^s, v - 3n^s): exact cross-power tests
-            if d**q_ >= thr and (v - d) ** q_ > (3**q_) * thr:
-                P1 += weight
+        elif family == families.FAMILY_S1PLUS:
+            P1 += weight
     return P, P0, P1
 
 
 def p1plus_recursion(v: int, rm: int, s: Fraction) -> Fraction:
     """P1plus via the divisor recursion sum_{d in D1+(v)} (1/d) P0(v-d, rm)."""
     s = Fraction(s)
+    families.check_s(s)
     p_, q_ = s.numerator, s.denominator
     thr = v**p_
     total = Fraction(0)

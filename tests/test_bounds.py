@@ -7,6 +7,8 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ksettrace
 from ksettrace import bounds, combinatorics, families
@@ -33,6 +35,11 @@ class TestValidateParams:
     def test_m_too_small(self):
         rep = bounds.validate_params(3, Fraction(5, 8), Fraction(1, 24))
         assert not rep["ok"]
+
+    @pytest.mark.parametrize("M", [0, -1])
+    def test_no_traced_point_rejected(self, M):
+        with pytest.raises(ValueError, match="M >= 1"):
+            bounds.validate_params(M, Fraction(5, 8), Fraction(1, 24))
 
 
 class TestCDeltaSearch:
@@ -75,6 +82,12 @@ class TestBM:
         args = (4, Fraction(17, 24), Fraction(1, 6), 1)
         assert bounds.b_M_eval(*args, 100.0, 6.25) < bounds.b_M_eval(*args, 138.32, 6.25)
 
+    @pytest.mark.parametrize("r, c, a", [(0, 1.0, 1.25), (-2, 1.0, 1.25),
+                                         (1, -5.0, 1.25), (1, 1.0, -1.0)])
+    def test_out_of_range_rejected(self, r, c, a):
+        with pytest.raises(ValueError, match="need r >= 1"):
+            bounds.b_M_eval(4, Fraction(5, 8), Fraction(1, 24), r, c, a)
+
     def test_regression_stated_inputs(self):
         # with M=4, s=17/24, delta=1/6, c=138.32, a=25/4, r=1 the formula
         # evaluates to ~1.1276e8; this pins the computed value
@@ -88,6 +101,26 @@ class TestThreshold:
         t1 = bounds.n_threshold(ell, 1e8, 1.0)
         t2 = bounds.n_threshold(ell, 1e8, 0.5)
         assert abs((t2 - t1) - math.log10(2 ** (1 / (7 / 6 - 1)))) < 1e-9
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_eps_outside_range_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps > 0"):
+            bounds.n_threshold(Fraction(7, 6), 1e8, eps)
+        with pytest.raises(ValueError, match="eps > 0"):
+            bounds.n_satisfies(10**9, Fraction(5, 8), 1, Fraction(7, 6), 1e8, eps)
+
+    def test_size_flag_is_check_simple_hypothesis(self):
+        # one predicate, 12 (rn)^s + 6 <= n, behind both readers
+        for s in (Fraction(51, 100), Fraction(5, 8), Fraction(2, 3)):
+            for r in (1, 2, 3):
+                for n in (6, 7, 156, 157, 500, 2000, 10**4):
+                    size = bounds.n_satisfies(n, s, r, Fraction(7, 6), 1e8, 1.0)["size"]
+                    assert size == combinatorics.size_hypothesis(n, r, s)
+                    if size:
+                        combinatorics.check_simple(n, r, s)
+                    else:
+                        with pytest.raises(ValueError, match="hypothesis"):
+                            combinatorics.check_simple(n, r, s)
 
     def test_first_constraint_fails_small_n(self):
         flags = bounds.n_satisfies(156, Fraction(5, 8), 1, Fraction(7, 6), 1e8, 1.0)
@@ -165,6 +198,38 @@ class TestFamilyBounds:
             flags = bounds.n_satisfies(n, s, line.r, ell, 1.0, 1.0)
             assert rep.hypothesis_flags == {"size": flags["size"], "log": flags["log"]}
         assert rep.hypothesis_flags == {"size": True, "log": True}
+
+
+class TestCeilingRelation:
+    """The three readers of the family-ceiling table agree: at c_delta =
+    d(rm)/(rm)^delta, the ceilings of `family_bounds` sum to at most
+    b_M n^-ell on every line."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(M=st.integers(4, 9), i=st.integers(1, 47), j=st.integers(1, 47))
+    def test_ceilings_sum_below_b_M(self, M, i, j):
+        # s and delta at i/48 and j/48 of their admissible windows
+        s = Fraction(1, 2) + (Fraction(M - 1, M) - Fraction(1, 2)) * Fraction(i, 48)
+        delta = min(1 - s, s / 3, s - Fraction(1, 2)) * Fraction(j, 48)
+        rep = bounds.validate_params(M, s, delta)
+        assert rep["ok"]  # the window forces ell > 1
+        ell = rep["ell"]
+        for line in families.LINES:
+            for n0 in (7, 100, 10**4):
+                n = next(x for x in range(n0, n0 + 6)
+                         if x % families.LINES[line][2] in families.LINES[line][3])
+                lp = families.line_params_by_line(line, n)
+                rm = lp.r * lp.m
+                c = len(families.divisors(rm)) / rm ** float(delta)
+                a = bounds.a_delta_eval(c, s, delta)
+                total = sum(bounds.family_bounds(n, 2, M, s, a, lp).bounds.values())
+                b_M = bounds.b_M_eval(M, s, delta, lp.r, c, a)
+                assert total <= b_M * n ** -float(ell) * (1 + 1e-9), (line, n)
+        # at n = m = r = 1 every power of n and r is 1 and D = 1: the
+        # ceilings are b_M's terms at c_delta = 1
+        unit = families.LineParams(1, SYM, 1, 1, 1, "n-cycle")
+        total = sum(bounds.family_bounds(1, 2, M, s, 6.25, unit).bounds.values())
+        assert total == pytest.approx(bounds.b_M_eval(M, s, delta, 1, 1.0, 6.25), rel=1e-12)
 
 
 class TestTrialCount:

@@ -180,6 +180,12 @@ class TestBounds:
         code, _ = run(["bounds", "--M", "3", "--s", "5/8", "--delta", "1/24"])
         assert code == 1
 
+    @pytest.mark.parametrize("M", ["1", "2", "3"])
+    def test_small_M_is_a_failed_check(self, M):
+        code, out = run(["bounds", "--M", M, "--cdelta", "138.32"])
+        assert code == 1
+        assert f"violation: M = {M} < 4" in out
+
 
 class TestOracle:
     def test_rho_agreeing_line(self):
@@ -363,6 +369,7 @@ class TestExitCodes:
         ["--mode", "findmcycle", "--M", "3"],  # the detector needs M >= 4
         ["--mode", "findmcycle", "--eps", "1.5"],
         ["--s", "1/2"],
+        ["--mode", "findmcycle", "--condition", "ngood"],  # the detector draws uniformly
     ])
     def test_bad_flag_combination_exits_2(self, extra, capsys):
         code, _ = run(self.EXPERIMENT + extra)
@@ -382,11 +389,19 @@ class TestExitCodes:
          "--what", "conditional", "--M", "0"],
         ["experiment", "--group", "sym", "--n", "20", "--goal", "no-such-goal", "--seed", "1"],
         ["oracle", "--group", "sym", "--n", "40", "--goal", "long-cycle", "--what", "conditional"],
+        ["oracle", "--group", "sym", "--n", "12", "--goal", "long-cycle", "--what", "rho"],
+        *(["bounds", "--M", "4", "--s", "17/24", "--delta", "1/6", "--cdelta", "138.32", *extra]
+          for extra in (["--M", "0"], ["--r", "0"], ["--r", "-2"], ["--eps", "0"],
+                        ["--eps", "-1"], ["--cdelta", "-5"], ["--adelta", "-1"])),
+        ["bounds", "--delta", "0"],  # outside c_delta_search's 0 < delta <= 1
+        ["bounds", "--delta", "2"],
     ])
     def test_bad_input_exits_2(self, argv, capsys):
         assert run(argv)[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         if "40" in argv:  # refused by the class limit, not by a flag check
-            assert "too large" in capsys.readouterr().err
+            assert "too large" in err
 
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         code, out = run(["verify", "--config", str(tmp_path / "missing.json")])

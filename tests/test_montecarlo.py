@@ -480,6 +480,34 @@ class TestSmallV:
                 )
                 assert P == Fraction(count, math.factorial(v))
 
+    @pytest.mark.parametrize("s", [Fraction(5, 8), Fraction(2, 3), Fraction(9, 10)])
+    def test_p0_p1plus_match_enumeration_small(self, s):
+        # literal S_v enumeration for v <= 7, with the s-large rule written
+        # here: d >= n^s iff d^q >= n^p, and v - d > 3 n^s iff
+        # (v - d)^q > 3^q n^p, for s = p/q
+        p, q = s.numerator, s.denominator
+        for v in range(1, 8):
+            for n in (None, 1, 2, 5, 8, 30):  # 8^(2/3) = 4 puts a length on the threshold
+                n_p = (n if n is not None else v) ** p
+                for rm in (12, 30, 60):
+                    _, P0, P1 = montecarlo.small_v_proportions(v, rm, s, n)
+                    zero = one = 0
+                    for g in perms.enumerate_group(SYM, v):
+                        if rm % g.order():
+                            continue
+                        large = [d for d in g.cycle_type() if d**q >= n_p]
+                        zero += not large
+                        one += len(large) == 1 and (v - large[0]) ** q > 3**q * n_p
+                    assert (P0, P1) == (Fraction(zero, math.factorial(v)),
+                                        Fraction(one, math.factorial(v))), (v, n, rm)
+
+    @pytest.mark.parametrize("s", [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+    def test_s_outside_range_rejected(self, s):
+        with pytest.raises(ValueError, match="s must lie"):
+            montecarlo.small_v_proportions(6, 12, s)
+        with pytest.raises(ValueError, match="s must lie"):
+            montecarlo.p1plus_recursion(6, 12, s)
+
     def test_recursion_agreement(self):
         for v in range(1, 13):
             for rm in (12, 20, 30, 60):
@@ -534,6 +562,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg(**kw).validate()
         assert cfg(mode="findmcycle").validate() is None
+
+    def test_ngood_needs_conditional_mode(self):
+        assert cfg(condition="ngood").validate() is None
+        with pytest.raises(ValueError, match="condition 'ngood'"):
+            cfg(mode="findmcycle", condition="ngood").validate()
 
     def test_hash_stable(self):
         assert cfg().config_hash() == cfg().config_hash()
