@@ -72,19 +72,6 @@ class TestbedOracle(GroupOracle):
         return element
 
 
-class TrivialOracle(GroupOracle):
-    """The trivial group acting on a one-point domain (degenerate testbed)."""
-
-    def random_element(self, rng):
-        return None
-
-    def random_point(self, rng):
-        return 0
-
-    def act(self, point, element):
-        return point
-
-
 @dataclass(frozen=True)
 class TraceOutcome:
     """Result of tracing M random points under one element."""
@@ -106,20 +93,15 @@ class Transcript:
     entries: list[dict] = field(default_factory=list)
     cap: int | None = None
 
-    def add(self, trial_index: int, outcome: str, lengths: list) -> None:
-        self.entries.append(
-            {"trial_index": trial_index, "outcome": outcome, "lengths": lengths}
-        )
+    def add(self, outcome: str, lengths: list) -> None:
+        self.entries.append({"outcome": outcome, "lengths": lengths})
 
     def lines(self) -> list[str]:
-        """Line-record form: trial_index, outcome, per-point orbit lengths."""
+        """Line-record form: trial number (the entry's position, from 1),
+        outcome, per-point orbit lengths."""
         return [
-            "{}, {}, {}".format(
-                e["trial_index"],
-                e["outcome"],
-                " ".join(str(x) for x in e["lengths"]),
-            )
-            for e in self.entries
+            "{}, {}, {}".format(i, e["outcome"], " ".join(str(x) for x in e["lengths"]))
+            for i, e in enumerate(self.entries, 1)
         ]
 
     def cost(self) -> dict[str, int]:
@@ -220,16 +202,16 @@ def find_m_cycle(
     check_detector_args(eps, M)
     N = trial_budget(params.n, eps)
     transcript = Transcript(cap=params.r * params.m)
-    for i in range(1, N + 1):
+    for _ in range(N):
         g = oracle.random_element(rng)
         outcome = trace_cycle(g, params, M, oracle, rng)
         lengths = [
             length if length is not None else "-" for _, length, _ in outcome.per_point
         ]
         if outcome.accepted:
-            transcript.add(i, OUTCOME_GOOD, lengths)
+            transcript.add(OUTCOME_GOOD, lengths)
             return g, transcript
-        transcript.add(i, OUTCOME_UGLY_STEP, lengths)
+        transcript.add(OUTCOME_UGLY_STEP, lengths)
     return FAIL, transcript
 
 

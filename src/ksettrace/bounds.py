@@ -133,8 +133,8 @@ def c_delta_search(delta: Fraction, x_limit: int = 10**9) -> tuple[float, int]:
 def a_delta_eval(c_delta: float, s: Fraction, delta: Fraction) -> float:
     """a_delta = (5/4)(1 + 3 c/q + (c/q)^2) with q = 150^(s-delta)."""
     s, delta = Fraction(s), Fraction(delta)
-    if not s > delta:
-        raise ValueError("need s > delta")
+    if not s > delta or c_delta < 0:
+        raise ValueError(f"need s > delta and c_delta >= 0, got s={s}, delta={delta}, c_delta={c_delta}")
     ratio = mpmath.mpf(c_delta) / mpmath.mpf(150) ** _mpf(s - delta)
     return float(mpmath.mpf(5) / 4 * (1 + 3 * ratio + ratio**2))
 
@@ -182,9 +182,13 @@ def _threshold_iv(ell: Fraction, b_M: float, eps: float):
 
 
 @mpmath.workdps(60)
-def n_threshold(ell: Fraction, b_M: float, eps: float) -> float:
-    """log10 of (10 b_M / eps)^(1/(ell-1)), the third constraint's cutoff."""
+def n_threshold(ell: Fraction, b_M: float, eps: float) -> float | None:
+    """log10 of (10 b_M / eps)^(1/(ell-1)), the third constraint's cutoff;
+    None when ell <= 1, where 10 b_M n^(1-ell) <= eps has no such cutoff.
+    eps is checked either way."""
     _check_eps(eps)
+    if not ell > 1:
+        return None
     val = (10 * mpmath.mpf(b_M) / mpmath.mpf(eps)) ** (1 / _mpf(Fraction(ell) - 1))
     return float(mpmath.log10(val))
 

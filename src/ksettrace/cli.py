@@ -114,16 +114,9 @@ def _line(opts: dict) -> families.LineParams:
 
 
 def cmd_trace(opts: dict, out) -> int:
-    n = opts["n"]
-    if "cap" in opts:
-        cap = opts["cap"]
-        if cap < 1:
-            raise UsageError(f"--cap must be at least 1, got {cap}")
-    else:
-        # default cap rm comes from the parameter line
-        _require(opts, LINE)
-        params = _line(opts)
-        cap = params.r * params.m
+    n, cap = opts["n"], opts["cap"]
+    if cap < 1:
+        raise UsageError(f"--cap must be at least 1, got {cap}")
     with _reading_input():
         g = perms.Permutation.parse(opts["perm"], n=n)
         gamma = ksets.parse_ksubset(opts["subset"], n)
@@ -241,7 +234,7 @@ def cmd_bounds(opts: dict, out) -> int:
         a_delta = opts["adelta"] if "adelta" in opts else bounds.a_delta_eval(c_delta, s, delta)
         b_M = bounds.b_M_eval(M, s, delta, opts.get("r", 1), c_delta, a_delta)
         ell = report["ell"]
-        log10_thr = bounds.n_threshold(ell, b_M, opts.get("eps", 1.0)) if ell > 1 else None
+        log10_thr = bounds.n_threshold(ell, b_M, opts.get("eps", 1.0))
     print(f"admissible: {report['ok']}  ell: {ell}", file=out)
     for v in report["violations"]:
         print(f"violation: {v}", file=out)
@@ -273,7 +266,7 @@ def cmd_oracle(opts: dict, out) -> int:
 
 # subcommand -> (function, required options, optional options)
 COMMANDS = {
-    "trace": (cmd_trace, ("n", "perm", "subset"), ("group", "goal", "cap")),
+    "trace": (cmd_trace, ("n", "perm", "subset", "cap"), ()),
     "classify": (cmd_classify, (*LINE, "perm"), ("s",)),
     "find-mcycle": (cmd_find_mcycle, (*LINE, "seed"), ("k", "eps", "M")),
     "experiment": (cmd_experiment, (*LINE, "seed"),

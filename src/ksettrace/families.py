@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as _itertools_permutations
 
-from .perms import ALT, SYM, Permutation
+from .perms import ALT, SYM, Permutation, check_group
 
 LONG_CYCLE = "long-cycle"
 TRANSPOSITION = "transposition"
@@ -95,6 +95,7 @@ def ngood_types(group: str, n: int, m: int, r: int):
     dividing rm.  Alt keeps only the even types.  Each type of N_good arises
     once this way, also when m <= n - m.
     """
+    check_group(group, n)
     for rest in partitions(n - m, divisors(r * m)):
         if group == SYM or (n - 1 - len(rest)) % 2 == 0:
             yield (*rest, m)
@@ -304,19 +305,12 @@ def accepted_lengths(m: int, r: int) -> frozenset[int]:
 @functools.cache  # read by every rotation-period search in `ksets`
 def prime_divisors(x: int) -> tuple[int, ...]:
     """The distinct prime divisors of x, increasing, as a tuple no caller
-    can change."""
-    if x < 1:
-        raise ValueError("x must be positive")
-    out = []
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
+    can change.  Read from `divisors(x)`: a divisor d > 1 that no smaller
+    prime divisor divides is prime."""
+    out: list[int] = []
+    for d in divisors(x)[1:]:
+        if all(d % p for p in out):
             out.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1
-    if x > 1:
-        out.append(x)
     return tuple(out)
 
 

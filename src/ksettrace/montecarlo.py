@@ -169,8 +169,7 @@ def sample_type(group: str, n: int, rng) -> list[int]:
     Each length is drawn as `rng.randrange(rest) + 1` draws it (the rule and
     rng contract of `perms.random_element`), so seeded streams equal those
     of that call."""
-    if group not in (perms.SYM, perms.ALT):
-        raise ValueError(f"unknown group {group!r}")
+    perms.check_group(group, n)
     getrandbits = rng.getrandbits
     while True:
         parts = []
@@ -186,7 +185,7 @@ def sample_type(group: str, n: int, rng) -> list[int]:
             return parts
 
 
-@functools.lru_cache(maxsize=128)
+@functools.cache
 def _ngood_table(group: str, n: int, m: int, r: int) -> tuple[tuple, tuple]:
     """The types of `families.ngood_types` and their cumulative 1/z weights,
     as immutable tuples, since every caller shares them."""

@@ -106,9 +106,6 @@ class Permutation:
             return cls.from_cycles(degree, cycles)
         raise ValueError(f"unrecognized permutation text {text!r}")
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -124,17 +121,14 @@ class Permutation:
             "(" + " ".join(str(x + 1) for x in cyc) + ")" for cyc in self.cycles()
         )
 
-    def compose(self, other: "Permutation") -> "Permutation":
+    def __mul__(self, other: "Permutation") -> "Permutation":
         """The permutation i -> other(self(i))."""
         if self.n != other.n:
             raise DegreeMismatchError(
-                f"cannot compose degree {self.n} with degree {other.n}"
+                f"cannot multiply degree {self.n} by degree {other.n}"
             )
         oi = other.images
         return Permutation._trusted([oi[x] for x in self.images])
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return self.compose(other)
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
@@ -196,6 +190,16 @@ ALT = "Alt"
 _ENUM_LIMIT = 10
 
 
+def check_group(group: str, n: int) -> None:
+    """Raise ValueError unless group is Sym or Alt and n is a degree it has:
+    n >= 1 for Sym, n >= 2 for Alt."""
+    if group not in (SYM, ALT):
+        raise ValueError(f"unknown group {group!r}")
+    least = 2 if group == ALT else 1
+    if n < least:
+        raise ValueError(f"{group} requires n >= {least}")
+
+
 def random_element(group: str, n: int, rng) -> Permutation:
     """Uniform element of Sym(n) or Alt(n).
 
@@ -211,11 +215,7 @@ def random_element(group: str, n: int, rng) -> Permutation:
     and the generator state it leaves, equal those of `rng.shuffle` on
     list(range(n)).
     """
-    if group not in (SYM, ALT):
-        raise ValueError(f"unknown group {group!r}")
-    least = 2 if group == ALT else 1
-    if n < least:
-        raise ValueError(f"{group} requires n >= {least}")
+    check_group(group, n)
     getrandbits = rng.getrandbits
     images = list(range(n))
     swaps = 0
@@ -238,8 +238,7 @@ def random_element(group: str, n: int, rng) -> Permutation:
 
 def enumerate_group(group: str, n: int) -> Iterator[Permutation]:
     """Yield every element of Sym(n) or Alt(n) exactly once.  Requires n <= 10."""
-    if group not in (SYM, ALT):
-        raise ValueError(f"unknown group {group!r}")
+    check_group(group, n)
     if n > _ENUM_LIMIT:
         raise ValueError(f"enumeration limited to n <= {_ENUM_LIMIT}, got {n}")
     for images in _itertools_permutations(range(n)):

@@ -6,7 +6,6 @@ import pytest
 from ksettrace import algorithms, families, ksets, perms
 from ksettrace.algorithms import (
     FAIL,
-    TrivialOracle,
     find_m_cycle,
     make_testbed_oracle,
     trace_cycle,
@@ -97,7 +96,7 @@ class TestTestbedOracle:
             g = oracle.random_element(rng)
             h = oracle.random_element(rng)
             pt = oracle.random_point(rng)
-            assert oracle.act(oracle.act(pt, g), h) == oracle.act(pt, g.compose(h))
+            assert oracle.act(oracle.act(pt, g), h) == oracle.act(pt, g * h)
 
     def test_k_guard(self):
         with pytest.raises(ValueError):
@@ -177,10 +176,13 @@ class TestTraceCycle:
 
 
 class TestFindMCycle:
-    def test_trivial_group_fails_after_N(self):
+    def test_trivial_group_fails_after_N(self, monkeypatch):
+        # every element is the identity, so each first point has orbit length 1
         params = line1(10)
+        oracle = make_testbed_oracle(params, 2)
+        monkeypatch.setattr(oracle, "random_element", lambda rng: Permutation.identity(10))
         rng = random.Random(0)
-        result, transcript = find_m_cycle(params, 0.5, 4, TrivialOracle(), rng)
+        result, transcript = find_m_cycle(params, 0.5, 4, oracle, rng)
         assert result is FAIL
         n = trial_budget(10, 0.5)
         assert len(transcript.entries) == n
@@ -213,10 +215,11 @@ class TestFindMCycle:
         assert t1.lines() == t2.lines()
 
     def test_eps_validated(self):
+        oracle = make_testbed_oracle(line1(10), 2)
         with pytest.raises(ValueError):
-            find_m_cycle(line1(10), 1.5, 4, TrivialOracle(), random.Random(0))
+            find_m_cycle(line1(10), 1.5, 4, oracle, random.Random(0))
         with pytest.raises(ValueError):
-            find_m_cycle(line1(10), 0.1, 3, TrivialOracle(), random.Random(0))
+            find_m_cycle(line1(10), 0.1, 3, oracle, random.Random(0))
 
 
 class TestFastPathMatchesReference:
@@ -299,5 +302,5 @@ class TestOrbitLengthCap:
             assert counts[0] == counts[1] == min(length, cap)
             assert (results[0] is ksets.EXCEEDS_CAP) == (length > cap)
             transcript = algorithms.Transcript(cap=cap)
-            transcript.add(1, algorithms.OUTCOME_UGLY_STEP, [results[0]])
+            transcript.add(algorithms.OUTCOME_UGLY_STEP, [results[0]])
             assert transcript.cost()["acts"] == counts[0]

@@ -67,6 +67,11 @@ class TestADelta:
         out = bounds.a_delta_eval(0.0, Fraction(17, 24), Fraction(1, 6))
         assert abs(out - 1.25) < 1e-12
 
+    def test_negative_c_delta_rejected(self):
+        # (5/4)(1 + 3c/q + (c/q)^2) at c = -5 gave 0.14475, below the c = 0 limit
+        with pytest.raises(ValueError, match="c_delta >= 0"):
+            bounds.a_delta_eval(-5, Fraction(17, 24), Fraction(1, 6))
+
     def test_regression_eq5_at_150(self):
         out = bounds.a_delta_eval(138.32, Fraction(17, 24), Fraction(1, 6))
         # pinned: (5/4)(1 + 3c/q + (c/q)^2) at q = 150^(13/24)

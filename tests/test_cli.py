@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -49,6 +50,27 @@ class TestTrace:
         )
         assert code == 2
         assert "traced" not in out
+
+
+    def test_cap_required(self, capsys):
+        argv = ["trace", "--n", "6", "--perm", "(1 2 3 4 5 6)", "--subset", "{1,4}"]
+        assert run(argv) == (2, "")
+        assert "--cap" in capsys.readouterr().err
+        # trace takes no line options
+        assert run(argv + ["--group", "sym", "--goal", "long-cycle", "--cap", "6"])[0] == 2
+
+
+class TestFindMCycle:
+    def test_seeded_stdout_pinned(self):
+        # transcript lines are numbered by entry position, from 1
+        argv = next(argv for argv in readme_commands() if argv[0] == "find-mcycle")
+        code, out = run(argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1:3] == ["1, ugly-step, 18 - - -", "2, ugly-step, 28 - - -"]
+        assert lines[61] == "61, good, 40 40 40 40"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f4f6c5af69bc191e0bb8c5a46a8801dc61654f857903cbe020e7380918ed4dea")
 
 
 class TestClassify:
@@ -393,6 +415,8 @@ class TestExitCodes:
         *(["bounds", "--M", "4", "--s", "17/24", "--delta", "1/6", "--cdelta", "138.32", *extra]
           for extra in (["--M", "0"], ["--r", "0"], ["--r", "-2"], ["--eps", "0"],
                         ["--eps", "-1"], ["--cdelta", "-5"], ["--adelta", "-1"])),
+        # ell = 1 here, so eps enters no threshold; it is still checked
+        ["bounds", "--M", "4", "--s", "5/8", "--delta", "1/8", "--cdelta", "5", "--eps", "-1"],
         ["bounds", "--delta", "0"],  # outside c_delta_search's 0 < delta <= 1
         ["bounds", "--delta", "2"],
     ])

@@ -455,6 +455,10 @@ class TestRhoOracle:
         with pytest.raises(ValueError):
             families.rho_oracle(lp)
 
+    def test_exact_rho_rejects_unknown_group(self):
+        with pytest.raises(ValueError, match="unknown group"):
+            families.exact_rho("foo", 9, 9, 1)
+
 
 class TestExtractTarget:
     def test_line2(self):
@@ -561,6 +565,23 @@ class TestDivisorArithmetic:
         for bad in (families.prime_divisors, families.divisors):
             with pytest.raises(ValueError):
                 bad(0)
+
+    def test_prime_divisors_match_trial_division(self):
+        def reference(x):  # strip each prime factor as trial division finds it
+            out, d = [], 2
+            while d * d <= x:
+                if x % d == 0:
+                    out.append(d)
+                    while x % d == 0:
+                        x //= d
+                d += 1
+            return tuple(out + [x] * (x > 1))
+
+        for x in range(1, 10**4 + 1):
+            assert families.prime_divisors(x) == reference(x), x
+        for bad in (0, -1, -12):
+            with pytest.raises(ValueError):
+                families.prime_divisors(bad)
 
     def test_small(self):
         assert len(families.divisors(1)) == 1

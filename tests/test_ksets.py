@@ -546,7 +546,7 @@ class TestFastPaths:
         e = data.draw(st.integers(-2 * lp.n, 2 * lp.n), label="e")
         rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
         gamma = ksets.random_ksubset(lp.n, data.draw(st.integers(1, lp.n), label="k"), rng)
-        for p in (g, h, g.compose(h), h * g, g.inverse(), g**e, h**e):
+        for p in (g, h, g * h, h * g, g.inverse(), g**e, h**e):
             assert Permutation(p.images) == p
         for s in (gamma, ksets.image(gamma, g), ksets.image(gamma, h)):
             assert type(s) is frozenset and len(s) == len(gamma)

@@ -267,6 +267,12 @@ class TestSampleType:
         with pytest.raises(ValueError, match="unknown group"):
             montecarlo.sample_type("Cyc", 8, random.Random(0))
 
+    @pytest.mark.parametrize("group, n", [(SYM, -1), (SYM, 0), (ALT, 1)])
+    def test_rejects_degree_outside_group(self, group, n):
+        # n = -1 drew forever, n = 0 gave [] and Alt at n = 1 gave [1]
+        with pytest.raises(ValueError, match="requires n >="):
+            montecarlo.sample_type(group, n, random.Random(0))
+
     @pytest.mark.parametrize("group", [SYM, ALT])
     @pytest.mark.parametrize("n", [2, 7, 100, 200, 201])
     def test_stream_matches_randrange(self, group, n):

@@ -24,23 +24,23 @@ perm_strategy = st.integers(1, 12).flatmap(
 class TestBasics:
     def test_identity_compose(self):
         p = Permutation([2, 0, 1, 4, 3])
-        assert Permutation.identity(5).compose(p) == p
-        assert p.compose(Permutation.identity(5)) == p
+        assert Permutation.identity(5) * p == p
+        assert p * Permutation.identity(5) == p
 
     def test_inverse_law(self):
         p = rand_perm(9, 3)
-        assert p.compose(p.inverse()) == Permutation.identity(9)
+        assert p * p.inverse() == Permutation.identity(9)
         assert p.inverse().inverse() == p
 
     def test_hand_composition(self):
         p = Permutation.from_cycles(3, [[0, 1, 2]])
         q = Permutation.from_cycles(3, [[0, 1]])
         # 0 -> q(1) = 0, 1 -> q(2) = 2, 2 -> q(0) = 1: the transposition (1 2)
-        assert p.compose(q) == Permutation.from_cycles(3, [[1, 2]])
+        assert p * q == Permutation.from_cycles(3, [[1, 2]])
 
     def test_degree_mismatch(self):
         with pytest.raises(perms.DegreeMismatchError):
-            Permutation.identity(3).compose(Permutation.identity(4))
+            Permutation.identity(3) * Permutation.identity(4)
 
     def test_not_bijection_rejected(self):
         with pytest.raises(ValueError):
@@ -81,7 +81,7 @@ class TestPower:
 
     @given(perm_strategy, st.integers(-50, 50), st.integers(-50, 50))
     def test_power_additive(self, p, e1, e2):
-        assert p ** (e1 + e2) == (p**e1).compose(p**e2)
+        assert p ** (e1 + e2) == p**e1 * p**e2
 
 
 class TestCyclesOrderParity:
@@ -217,6 +217,22 @@ class TestRandomElementStream:
         for group in (SYM, ALT):
             assert perms.random_element(group, 50, BitsOnly(3)) == perms.random_element(
                 group, 50, random.Random(3))
+
+
+class TestCheckGroup:
+    @pytest.mark.parametrize("group, n", [("Cyc", 5), (SYM, 0), (SYM, -1), (ALT, 1), (ALT, 0)])
+    def test_refused_by_every_caller(self, group, n):
+        for call in (lambda: perms.check_group(group, n),
+                     lambda: perms.random_element(group, n, random.Random(0)),
+                     lambda: next(perms.enumerate_group(group, n))):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_least_degrees_admitted(self):
+        perms.check_group(SYM, 1)
+        perms.check_group(ALT, 2)
+        assert len(list(perms.enumerate_group(SYM, 1))) == 1
+        assert len(list(perms.enumerate_group(ALT, 2))) == 1
 
 
 class TestEnumeration:
