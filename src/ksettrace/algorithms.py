@@ -90,8 +90,8 @@ OUTCOME_UGLY_STEP = "ugly-step"
 class Transcript:
     """Per-trial record of a detection run, traced with orbit cap ``cap``."""
 
+    cap: int
     entries: list[dict] = field(default_factory=list)
-    cap: int | None = None
 
     def add(self, outcome: str, lengths: list) -> None:
         self.entries.append({"outcome": outcome, "lengths": lengths})
@@ -130,7 +130,7 @@ def orbit_length(act: Callable[[Any, Any], Any], point, element, cap: int):
     """Smallest t >= 1 with point fixed by element^t, found by applying
     ``act(point, element)`` at most cap times; EXCEEDS_CAP if t > cap."""
     if cap < 1:
-        raise ValueError("cap must be at least 1")
+        raise ValueError(f"cap must be at least 1, got {cap}")
     cur = point
     for t in range(1, cap + 1):
         cur = act(cur, element)

@@ -1,6 +1,6 @@
 """Explicit-constant machinery: admissibility of (M, s, delta), the divisor
-constant c_delta, the derived constants a_delta, ell, b_M, the n-threshold
-predicate, and the per-family probability ceilings.
+constant c_delta, the derived constants a_delta, ell, b_M, the three
+n-constraints, and the per-family probability ceilings.
 
 Each family that can fool the test (R, S0, S1+, S1-, S>=2) has a ceiling
 coefficient * D^j / n^e at divisor count D = d(rm), written once in
@@ -8,6 +8,8 @@ coefficient * D^j / n^e at divisor count D = d(rm), written once in
 the least e - j delta (`ell_value`) and b_M the sum of the coefficients at
 D = c_delta r^delta (`b_M_eval`); the ceilings at D = d(rm)
 (`family_bounds`) sum to at most b_M n^-ell.
+`n_satisfies` is the one predicate for the three n-constraints; its third
+flag is False wherever `n_threshold`, that constraint's cutoff, is None.
 
 Point evaluation is done in mpmath at 60 significant digits, set per call
 by `mpmath.workdps`, so the caller's precision is left alone.  Certified
@@ -30,15 +32,12 @@ from .families import (FAMILY_R, FAMILY_S0, FAMILY_S1MINUS, FAMILY_S1PLUS, FAMIL
 
 @dataclass(frozen=True)
 class FamilyBoundReport:
-    """Per-family probability ceilings at a concrete n, with flags saying
-    whether the two n-constraints that need no b_M ("size", "log") hold
-    there."""
+    """Per-family probability ceilings, the acceptance floor and the
+    m-cycle ceiling at a concrete n."""
 
-    n: int
     bounds: dict
     success_floor: float
     mcyc_ceiling: float
-    hypothesis_flags: dict
 
 
 def _ceilings(M: int, s: Fraction) -> dict:
@@ -87,10 +86,8 @@ def validate_params(M: int, s: Fraction, delta: Fraction) -> dict:
     return {"ok": not violations, "violations": violations, "ell": ell}
 
 
-def _mpf(x) -> mpmath.mpf:
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-    return mpmath.mpf(x)
+def _mpf(x: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -158,27 +155,23 @@ def n_satisfies(n: int, s: Fraction, r: int, ell: Fraction, b_M: float, eps: flo
     (rn)^s log n <= n, and n >= (10 b_M / eps)^(1/(ell-1)).
 
     The first is exact (integer cross-powers); the others use interval
-    arithmetic so a True flag is certified.
+    arithmetic so a True flag is certified.  The third is False wherever
+    `n_threshold` is None.
     """
-    _check_eps(eps)
-    thr = _threshold_iv(ell, b_M, eps)
-    return {**_size_log_flags(n, s, r), "threshold": mpmath.iv.mpf(n).a >= thr.b}
-
-
-def _size_log_flags(n: int, s: Fraction, r: int) -> dict:
+    threshold = False
+    if _has_cutoff(ell, eps):
+        base = 10 * mpmath.iv.mpf(mpmath.mpf(b_M)) / mpmath.iv.mpf(mpmath.mpf(eps))
+        threshold = mpmath.iv.mpf(n).a >= (base ** (1 / _to_iv(Fraction(ell) - 1))).b
     s = Fraction(s)
     log_iv = mpmath.iv.mpf(r * n) ** _to_iv(s) * mpmath.iv.log(mpmath.iv.mpf(n))
-    return {"size": size_hypothesis(n, r, s), "log": log_iv.b <= n}
+    return {"size": size_hypothesis(n, r, s), "log": log_iv.b <= n, "threshold": threshold}
 
 
-def _check_eps(eps: float) -> None:
+def _has_cutoff(ell: Fraction, eps: float) -> bool:
+    """Check eps > 0; return whether 10 b_M n^(1-ell) <= eps has a cutoff: ell > 1."""
     if not eps > 0:
         raise ValueError(f"need eps > 0, got {eps}")
-
-
-def _threshold_iv(ell: Fraction, b_M: float, eps: float):
-    base = 10 * mpmath.iv.mpf(mpmath.mpf(b_M)) / mpmath.iv.mpf(mpmath.mpf(eps))
-    return base ** (1 / _to_iv(Fraction(ell) - 1))
+    return ell > 1
 
 
 @mpmath.workdps(60)
@@ -186,8 +179,7 @@ def n_threshold(ell: Fraction, b_M: float, eps: float) -> float | None:
     """log10 of (10 b_M / eps)^(1/(ell-1)), the third constraint's cutoff;
     None when ell <= 1, where 10 b_M n^(1-ell) <= eps has no such cutoff.
     eps is checked either way."""
-    _check_eps(eps)
-    if not ell > 1:
+    if not _has_cutoff(ell, eps):
         return None
     val = (10 * mpmath.mpf(b_M) / mpmath.mpf(eps)) ** (1 / _mpf(Fraction(ell) - 1))
     return float(mpmath.log10(val))
@@ -197,9 +189,8 @@ def n_threshold(ell: Fraction, b_M: float, eps: float) -> float | None:
 def family_bounds(n: int, k: int, M: int, s: Fraction, a_delta: float,
                   line: LineParams) -> FamilyBoundReport:
     """The five `_ceilings` at degree n and D = d(rm), plus the
-    acceptance floor ((n-2)/n)^M, the bad-k-subset-proportion ceiling
-    sqrt(8k) (3k/4m)^ceil(k/2), and the size and log n-constraints (the
-    third needs b_M; see `n_satisfies`)."""
+    acceptance floor ((n-2)/n)^M and the bad-k-subset-proportion ceiling
+    sqrt(8k) (3k/4m)^ceil(k/2).  The n-constraints are `n_satisfies`'s."""
     s = Fraction(s)
     r, m = line.r, line.m
     D = len(divisors(r * m))
@@ -209,4 +200,4 @@ def family_bounds(n: int, k: int, M: int, s: Fraction, a_delta: float,
                for fam, (coef, e, j) in _ceilings(M, s).items()}
     success_floor = float(((nn - 2) / nn) ** M)
     mcyc_ceiling = float(mpmath.sqrt(8 * k) * (mpmath.mpf(3 * k) / (4 * m)) ** ((k + 1) // 2))
-    return FamilyBoundReport(n, bounds_, success_floor, mcyc_ceiling, _size_log_flags(n, s, r))
+    return FamilyBoundReport(bounds_, success_floor, mcyc_ceiling)

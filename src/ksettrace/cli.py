@@ -114,13 +114,11 @@ def _line(opts: dict) -> families.LineParams:
 
 
 def cmd_trace(opts: dict, out) -> int:
-    n, cap = opts["n"], opts["cap"]
-    if cap < 1:
-        raise UsageError(f"--cap must be at least 1, got {cap}")
-    with _reading_input():
+    n = opts["n"]
+    with _reading_input():  # orbit_length raises only on its cap
         g = perms.Permutation.parse(opts["perm"], n=n)
         gamma = ksets.parse_ksubset(opts["subset"], n)
-    traced = algorithms.orbit_length(ksets.image, gamma, g, cap)
+        traced = algorithms.orbit_length(ksets.image, gamma, g, opts["cap"])
     exact = ksets.cycle_length_exact(gamma, g)
     print(f"traced: {traced}", file=out)
     print(f"exact: {exact}", file=out)
@@ -253,9 +251,9 @@ def cmd_oracle(opts: dict, out) -> int:
     if opts.get("what", "rho") == "rho":
         with _reading_input():  # rho_oracle raises only past its n <= 9 limit
             rho = families.rho_oracle(params)
-        agrees = rho == params.rho
-        print(f"line {params.line}: rho_oracle = {rho}, table rho = {params.rho}, agree = {agrees}", file=out)
-        return EXIT_OK if agrees else EXIT_CHECK_FAILED
+        table = params.rho
+        print(f"line {params.line}: rho_oracle = {rho}, table rho = {table}, agree = {rho == table}", file=out)
+        return EXIT_OK if rho == table else EXIT_CHECK_FAILED
     with _reading_input():  # exact_conditional raises only on its arguments
         ex = montecarlo.exact_conditional(params, opts.get("k", 2), opts.get("M", 4))
     print(f"accept: {ex.accept}", file=out)

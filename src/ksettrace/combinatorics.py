@@ -18,7 +18,7 @@ from typing import Sequence
 
 import mpmath
 
-from .families import partitions
+from .families import check_s, partitions
 from .ksets import orbit_length_counts
 
 
@@ -151,8 +151,7 @@ def check_simple(n: int, r: int, s: Fraction, t: int = 1) -> Verdict:
     cross-power test).  Conclusions checked: (rn)^s/n < 1/12; n >= 156; the
     t-shift comparison 2(rn)^s - t > ((24-t)/12)(rn)^s; n >= 1746 when s = 2/3."""
     s = Fraction(s)
-    if not Fraction(1, 2) < s < 1:
-        raise ValueError("need 1/2 < s < 1")
+    check_s(s)
     if t < 1:
         raise ValueError("need t >= 1")
     if not size_hypothesis(n, r, s):

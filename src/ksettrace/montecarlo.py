@@ -11,10 +11,11 @@ import hashlib
 import io
 import math
 import random
+from collections import Counter
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import algorithms, families, ksets, perms
 from .families import LineParams
@@ -116,7 +117,7 @@ class SummaryStats:
     good: int = 0
     bad: int = 0
     ugly: int = 0
-    cost: dict = field(default_factory=dict)  # Transcript.cost() summed over runs
+    cost: Counter = field(default_factory=Counter)  # Transcript.cost() summed over runs
 
     @property
     def trials(self) -> int:
@@ -149,15 +150,16 @@ class SummaryStats:
         }
 
 
-def _worker_rng(seed: int, worker: int) -> random.Random:
-    # derived stream per logical worker; stable across processes and runs
-    digest = hashlib.sha256(f"{seed}:{worker}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:16], "big"))
-
-
-def _split_trials(trials: int, workers: int) -> list[int]:
-    base, extra = divmod(trials, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+def _trial_rngs(config: ExperimentConfig) -> Iterator[random.Random]:
+    """Each trial's random stream, in trial order: the trials split evenly
+    over config.workers logical workers, the first ones taking one more, and
+    worker w's trials share one stream seeded from sha256 of "seed:w"."""
+    base, extra = divmod(config.trials, config.workers)
+    for worker in range(config.workers):
+        digest = hashlib.sha256(f"{config.seed}:{worker}".encode()).digest()
+        rng = random.Random(int.from_bytes(digest[:16], "big"))
+        for _ in range(base + (worker < extra)):
+            yield rng
 
 
 def sample_type(group: str, n: int, rng) -> list[int]:
@@ -220,52 +222,49 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     params = config.line()
     good_lengths = families.accepted_lengths(params.m, params.r)
     stats = SummaryStats(config)
-    for worker, wtrials in enumerate(_split_trials(config.trials, config.workers)):
-        rng = _worker_rng(config.seed, worker)
-        for _ in range(wtrials):
-            if config.condition == "ngood":
-                parts = sample_ngood(params, rng)
-            else:
-                parts = sample_type(params.group, params.n, rng)
-            fam = families.classify_type(parts, params, config.s)
-            # same accept set as capped tracing: any orbit longer than rm
-            # cannot equal r0*m, and the exact engine is far cheaper here;
-            # all() stops drawing at the first rejected subset
-            accepted = all(
-                ksets.layout_orbit_length(ksets.random_kmask(params.n, config.k, rng), parts)
-                in good_lengths
-                for _ in range(config.M)
-            )
-            key = (fam, accepted)
-            stats.contingency[key] = stats.contingency.get(key, 0) + 1
-            if families.is_ngood_type(parts, params):
-                stats.ngood_trials += 1
-                if accepted:
-                    stats.ngood_accepted += 1
+    for rng in _trial_rngs(config):
+        if config.condition == "ngood":
+            parts = sample_ngood(params, rng)
+        else:
+            parts = sample_type(params.group, params.n, rng)
+        fam = families.classify_type(parts, params, config.s)
+        # same accept set as capped tracing: any orbit longer than rm
+        # cannot equal r0*m, and the exact engine is far cheaper here;
+        # all() stops drawing at the first rejected subset
+        accepted = all(
+            ksets.layout_orbit_length(ksets.random_kmask(params.n, config.k, rng), parts)
+            in good_lengths
+            for _ in range(config.M)
+        )
+        key = (fam, accepted)
+        stats.contingency[key] = stats.contingency.get(key, 0) + 1
+        if families.is_ngood_type(parts, params):
+            stats.ngood_trials += 1
+            if accepted:
+                stats.ngood_accepted += 1
     return stats
 
 
 def run_findmcycle(config: ExperimentConfig) -> SummaryStats:
     """Repeat the full detection loop config.trials times; label each run
     good (returned element has an m-cycle), bad (it does not), or ugly
-    (no element returned).  stats.cost sums each run's `Transcript.cost()`."""
+    (no element returned).  stats.cost sums each run's `Transcript.cost()`.
+    The detector draws from all of G, so condition 'ngood' is refused."""
     config.validate()
+    if config.condition != "none":
+        raise ValueError(f"run_findmcycle takes condition 'none', got {config.condition!r}")
     params = config.line()
     oracle = algorithms.make_testbed_oracle(params, config.k)
     stats = SummaryStats(config)
-    for worker, wtrials in enumerate(_split_trials(config.trials, config.workers)):
-        rng = _worker_rng(config.seed, worker)
-        for _ in range(wtrials):
-            result, transcript = algorithms.find_m_cycle(
-                params, config.eps, config.M, oracle, rng)
-            for key, val in transcript.cost().items():
-                stats.cost[key] = stats.cost.get(key, 0) + val
-            if result is algorithms.FAIL:
-                stats.ugly += 1
-            elif families.in_N(oracle.natural(result), params):
-                stats.good += 1
-            else:
-                stats.bad += 1
+    for rng in _trial_rngs(config):
+        result, transcript = algorithms.find_m_cycle(params, config.eps, config.M, oracle, rng)
+        stats.cost.update(transcript.cost())
+        if result is algorithms.FAIL:
+            stats.ugly += 1
+        elif families.in_N(oracle.natural(result), params):
+            stats.good += 1
+        else:
+            stats.bad += 1
     return stats
 
 

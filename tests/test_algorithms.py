@@ -267,6 +267,12 @@ class TestTranscriptCost:
                 assert oracle.acts <= budget * 4 * transcript.cap
 
 
+    def test_cap_required(self):
+        # cost() prices a cap hit at the cap, so a transcript needs one
+        with pytest.raises(TypeError):
+            algorithms.Transcript()
+
+
 def reference_orbit_length(act, point, element, cap):
     """The capped tracer as first written, a while loop over the images."""
     cur = act(point, element)

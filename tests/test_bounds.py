@@ -182,12 +182,14 @@ class TestFamilyBounds:
 
     def test_ell_one_cell(self):
         # (M, s, delta) = (4, 5/8, 1/8) has ell = 1, where the third
-        # n-constraint's exponent 1/(ell-1) is undefined; the report reads
-        # only the two constraints that need no ell
-        assert bounds.ell_value(4, Fraction(5, 8), Fraction(1, 8)) == 1
+        # n-constraint's exponent 1/(ell-1) is undefined: it has no cutoff,
+        # so its flag is False, and the ceilings need no ell
+        ell = bounds.ell_value(4, Fraction(5, 8), Fraction(1, 8))
+        assert ell == 1
+        assert bounds.n_satisfies(100, Fraction(5, 8), 1, ell, 1.0, 1.0) == {
+            "size": False, "log": True, "threshold": False}
         line = families.line_params(SYM, 100, families.LONG_CYCLE)
         rep = bounds.family_bounds(100, 2, 4, Fraction(5, 8), 6.25, line)
-        assert rep.hypothesis_flags == {"size": False, "log": True}
         assert rep.bounds == pytest.approx({
             "R": 0.289531494140625, "S0": 11.526502071313743,
             "S1plus": 15.987926216486814, "Sge2": 0.25614449047363874,
@@ -195,14 +197,17 @@ class TestFamilyBounds:
         }, rel=1e-12)
         assert rep.mcyc_ceiling == pytest.approx(0.06, rel=1e-12)
 
-    def test_flags_match_n_satisfies(self):
-        s, ell = Fraction(5, 8), Fraction(7, 6)
-        for n in (100, 10**4):
-            line = families.line_params(SYM, n, families.LONG_CYCLE)
-            rep = bounds.family_bounds(n, 2, 4, s, 6.25, line)
-            flags = bounds.n_satisfies(n, s, line.r, ell, 1.0, 1.0)
-            assert rep.hypothesis_flags == {"size": flags["size"], "log": flags["log"]}
-        assert rep.hypothesis_flags == {"size": True, "log": True}
+    @pytest.mark.parametrize("ell", [Fraction(9, 10), Fraction(1), Fraction(7, 6),
+                                     Fraction(3, 2)])
+    def test_threshold_flag_matches_n_threshold(self, ell):
+        # one cutoff rule: the flag holds exactly past n_threshold's cutoff,
+        # and is False wherever n_threshold is None (ell <= 1); b_M = 1e6 and
+        # eps = 0.1 put the cutoff at 10^(8/(ell-1)), far from both n
+        log10_thr = bounds.n_threshold(ell, 1e6, 0.1)
+        assert (log10_thr is None) == (ell <= 1)
+        for n in (10**10, 10**60):
+            flag = bounds.n_satisfies(n, Fraction(5, 8), 1, ell, 1e6, 0.1)["threshold"]
+            assert flag == (log10_thr is not None and math.log10(n) > log10_thr)
 
 
 class TestCeilingRelation:

@@ -208,6 +208,12 @@ class TestInequalities:
         with pytest.raises(ValueError):
             cb.check_simple(n=156, r=1, s=Fraction(5, 8))
 
+    @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(1)])
+    def test_simple_s_range_is_check_s(self, s):
+        # the s-range check is families.check_s, with its message
+        with pytest.raises(ValueError, match="s must lie"):
+            cb.check_simple(n=10**6, r=1, s=s)
+
     def test_simple_grid(self):
         for n in (500, 2000, 10**4, 10**6):
             for r in (1, 2, 3):

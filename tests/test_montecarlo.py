@@ -152,16 +152,33 @@ class TestRunFindMCycle:
         st = montecarlo.run_findmcycle(config)
         lp = config.line()
         expected = Counter()
-        for worker, wtrials in enumerate(montecarlo._split_trials(12, workers)):
-            rng = montecarlo._worker_rng(4, worker)
-            for _ in range(wtrials):
-                _, transcript = algorithms.find_m_cycle(
-                    lp, 0.3, config.M, algorithms.make_testbed_oracle(lp, k), rng)
-                expected.update(transcript.cost())
-        assert st.cost == dict(expected)
+        for rng in montecarlo._trial_rngs(config):
+            _, transcript = algorithms.find_m_cycle(
+                lp, 0.3, config.M, algorithms.make_testbed_oracle(lp, k), rng)
+            expected.update(transcript.cost())
+        assert st.cost == expected
         assert st.cost["elements"] >= 12
         budget = algorithms.trial_budget(n, 0.3)
         assert st.cost["acts"] <= 12 * budget * config.M * lp.r * lp.m
+
+
+    def test_ngood_condition_refused(self):
+        # the detector draws from all of G, so it must not run a cell that
+        # asks for N_good, even in the default (conditional) mode
+        with pytest.raises(ValueError, match="condition 'none'"):
+            montecarlo.run_findmcycle(
+                cfg(n=20, k=2, trials=30, eps=0.3, seed=9, condition="ngood"))
+
+
+class TestTrialRngs:
+    def test_streams_pinned(self):
+        # 7 trials over 3 workers split 3, 2, 2; each trial's stream is its
+        # worker's, shared by that worker's trials in order.  The first
+        # getrandbits(32) of each trial pins the seeding and the split.
+        words = [rng.getrandbits(32) for rng in
+                 montecarlo._trial_rngs(cfg(trials=7, workers=3, seed=4))]
+        assert words == [3945360103, 410998922, 440687906, 1140401488,
+                         3521205676, 1195052910, 438311592]
 
 
 class TestSampleNgood:
