@@ -167,7 +167,7 @@ def cmd_experiment(opts: dict, out) -> int:
         t = config.trials
         print(f"good: {stats.good}/{t}  bad: {stats.bad}/{t}  ugly: {stats.ugly}/{t}", file=out)
         print(f"ugly ci: {montecarlo.wilson_interval(stats.ugly, t)}", file=out)
-        print("# cost: " + json.dumps(stats.cost), file=out)
+    print("# cost: " + json.dumps(stats.cost), file=out)
     return EXIT_OK
 
 

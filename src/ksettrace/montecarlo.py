@@ -11,6 +11,7 @@ import hashlib
 import io
 import math
 import random
+from bisect import bisect
 from collections import Counter
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
@@ -117,7 +118,9 @@ class SummaryStats:
     good: int = 0
     bad: int = 0
     ugly: int = 0
-    cost: Counter = field(default_factory=Counter)  # Transcript.cost() summed over runs
+    # Transcript.cost() summed over runs in findmcycle mode; in conditional
+    # mode its elements, points_traced and early_rejections keys alone
+    cost: Counter = field(default_factory=Counter)
 
     @property
     def trials(self) -> int:
@@ -199,10 +202,11 @@ def _ngood_table(group: str, n: int, m: int, r: int) -> tuple[tuple, tuple]:
 def sample_ngood(params: LineParams, rng) -> tuple[int, ...]:
     """Cycle lengths of a uniform element of N_good: a type of
     `families.ngood_types`, drawn with weight 1/z (its class holds n!/z
-    elements)."""
+    elements) by one `rng.random()` against the cumulative weights, as
+    `rng.choices(types, cum_weights=...)` draws it, so seeded streams equal
+    that call's."""
     types, cum = _ngood_table(params.group, params.n, params.m, params.r)
-    (parts,) = rng.choices(types, cum_weights=cum)
-    return parts
+    return types[bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)]
 
 
 def run_conditional(config: ExperimentConfig) -> SummaryStats:
@@ -217,31 +221,41 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     the same orbit length law under that layout as under any element of
     the type.  Deterministic given (seed, workers): each logical worker
     owns a derived stream and the reduction is commutative counting.
+    stats.cost counts the types drawn (`elements`), the masks whose orbit
+    length was read (`points_traced`) and the trials rejected at their
+    first mask (`early_rejections`), under the keys of `Transcript.cost()`.
     """
     config.validate()
     params = config.line()
     good_lengths = families.accepted_lengths(params.m, params.r)
     stats = SummaryStats(config)
+    contingency = stats.contingency
+    group, n, k, s = params.group, params.n, config.k, config.s
+    ngood = config.condition == "ngood"
+    classify_type, is_ngood_type = families.classify_type, families.is_ngood_type
+    random_kmask, orbit_length = ksets.random_kmask, ksets.layout_orbit_length
+    masks = range(1, config.M + 1)
+    traced = early = 0
     for rng in _trial_rngs(config):
-        if config.condition == "ngood":
-            parts = sample_ngood(params, rng)
-        else:
-            parts = sample_type(params.group, params.n, rng)
-        fam = families.classify_type(parts, params, config.s)
+        parts = sample_ngood(params, rng) if ngood else sample_type(group, n, rng)
+        fam = classify_type(parts, params, s)
         # same accept set as capped tracing: any orbit longer than rm
         # cannot equal r0*m, and the exact engine is far cheaper here;
-        # all() stops drawing at the first rejected subset
-        accepted = all(
-            ksets.layout_orbit_length(ksets.random_kmask(params.n, config.k, rng), parts)
-            in good_lengths
-            for _ in range(config.M)
-        )
+        # no mask is drawn after the first rejected one
+        accepted = True
+        for i in masks:
+            if orbit_length(random_kmask(n, k, rng), parts) not in good_lengths:
+                accepted = False
+                early += i == 1
+                break
+        traced += i
         key = (fam, accepted)
-        stats.contingency[key] = stats.contingency.get(key, 0) + 1
-        if families.is_ngood_type(parts, params):
+        contingency[key] = contingency.get(key, 0) + 1
+        if is_ngood_type(parts, params):
             stats.ngood_trials += 1
             if accepted:
                 stats.ngood_accepted += 1
+    stats.cost.update(elements=config.trials, points_traced=traced, early_rejections=early)
     return stats
 
 

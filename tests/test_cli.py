@@ -119,6 +119,17 @@ class TestExperimentCost:
         (line,) = [x for x in out.splitlines() if x.startswith("# cost: ")]
         assert json.loads(line[len("# cost: "):]) == montecarlo.run_findmcycle(config).cost
 
+    def test_conditional_prints_cost_totals(self):
+        code, out = run(
+            ["experiment", "--group", "sym", "--n", "30", "--goal", "long-cycle", "--k", "2",
+             "--trials", "50", "--seed", "3"]
+        )
+        assert code == 0
+        config = montecarlo.ExperimentConfig(
+            group=perms.SYM, n=30, goal=families.LONG_CYCLE, k=2, trials=50, seed=3)
+        (line,) = [x for x in out.splitlines() if x.startswith("# cost: ")]
+        assert json.loads(line[len("# cost: "):]) == montecarlo.run_conditional(config).cost
+
 
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path):

@@ -245,7 +245,10 @@ class TestRandomKMask:
         dof = cells - 1
         assert chi2 < dof + 4 * math.sqrt(2 * dof)
 
-    @pytest.mark.parametrize("n, k", [(3, 1), (9, 3), (200, 2), (200, 5), (100, 33)])
+    @pytest.mark.parametrize("n, k", [(3, 1), (9, 3), (200, 2), (200, 5), (100, 33),
+                                      # either side of sample's pool/set switch,
+                                      # n <= 21 below k = 6, n <= 85 at k = 6
+                                      (21, 2), (22, 2), (85, 6), (86, 6)])
     def test_sample_path_matches_random_ksubset(self, n, k):
         # for 3k <= n the mask is the same rng.sample draw as random_ksubset
         # and leaves the generator in the same state

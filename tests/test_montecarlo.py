@@ -115,6 +115,47 @@ class TestRunConditional:
         for name, exact, est in checks:
             assert abs(est.value - float(exact)) <= 4 * est.half_width, (name, exact, est)
 
+    def test_cost_counts_masks_at_M1(self):
+        st = montecarlo.run_conditional(cfg(M=1, trials=600, seed=2))
+        rejected = st.trials - st.accept_overall().successes
+        assert st.cost == {"elements": 600, "points_traced": 600, "early_rejections": rejected}
+
+    def test_cost_on_an_all_accepted_cell(self):
+        # line 1 at k = n/2 conditioned on N_good: every trial traces all M masks
+        st = montecarlo.run_conditional(cfg(n=200, k=100, condition="ngood", trials=300, seed=6))
+        assert st.contingency == {(families.FAMILY_N, True): 300}
+        assert st.cost == {"elements": 300, "points_traced": 4 * 300, "early_rejections": 0}
+
+
+class GetrandbitsOnly:
+    """A generator that offers only getrandbits, read from a random.Random."""
+
+    def __init__(self, rng):
+        self.getrandbits = rng.getrandbits
+
+
+class TestGetrandbitsContract:
+    def test_uniform_draws_read_only_getrandbits(self, monkeypatch):
+        # the mask draw on both of its paths, the type draw and the uniform
+        # harness run through getrandbits alone, with the outputs of the
+        # same seed's random.Random
+        for n, k in [(100, 2), (40, 13), (85, 6), (200, 100), (9, 4)]:
+            a, b = random.Random(n + k), random.Random(n + k)
+            got = [ksets.random_kmask(n, k, GetrandbitsOnly(a)) for _ in range(30)]
+            assert got == [ksets.random_kmask(n, k, b) for _ in range(30)]
+        for group, n in [(SYM, 60), (ALT, 21)]:
+            a, b = random.Random(n), random.Random(n)
+            got = [montecarlo.sample_type(group, n, GetrandbitsOnly(a)) for _ in range(30)]
+            assert got == [montecarlo.sample_type(group, n, b) for _ in range(30)]
+        config = cfg(n=60, k=2, trials=400, seed=8, workers=2)
+        expected = montecarlo.run_conditional(config)
+        streams = montecarlo._trial_rngs
+        monkeypatch.setattr(montecarlo, "_trial_rngs",
+                            lambda config: map(GetrandbitsOnly, streams(config)))
+        st = montecarlo.run_conditional(config)
+        assert (st.contingency, st.ngood_trials, st.cost) == (
+            expected.contingency, expected.ngood_trials, expected.cost)
+
 
 class TestRunFindMCycle:
     def test_outcome_tally(self):

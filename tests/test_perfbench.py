@@ -33,6 +33,20 @@ def test_workload_builds(bench, name):
     assert callable(workloads.WORKLOADS[name](7).run_rep)
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("conditional-uniform", "3ea14c299f73bf9e"),
+    ("conditional-ngood", "d544b4ef3c7d55a4"),
+    ("detect", "157a1b92d923e94c"),
+    ("exact", "696765039ff08009"),
+])
+def test_seed7_digest_pinned(bench, name, digest):
+    # one rep of each workload at seed 7 hashes to the digest its benchmark
+    # records report, so any change to a seeded stream fails here
+    _, workloads = bench
+    wl = workloads.WORKLOADS[name](7)
+    assert wl.digest(wl.run_rep(workloads.Meter())) == digest
+
+
 def library_reads(path):
     """(dotted name, line) for each ksettrace name the file reads: the
     attribute chains on modules bound by `from ksettrace import ...`, and
