@@ -38,9 +38,13 @@ class TestbedOracle(GroupOracle):
     """Oracle realized by Sym(n) or Alt(n) acting on k-subsets.
 
     Points are frozensets of k ints in 0..n-1, drawn by
-    ``ksets.random_ksubset``.  ``act`` is ``ksets.image`` inlined, with a
-    degree check that only the oracle can make, since a point does not
-    carry n; the detector reads points only through ``act`` and ``!=``.
+    ``ksets.random_ksubset``.  ``act`` is ``ksets.image`` with a degree
+    check that only the oracle can make, since a point does not carry n;
+    the detector reads points only through ``act`` and ``!=``.  The detector
+    applies one element many times in a row, so ``act`` checks an element
+    once and keeps it, by identity, with its image map until another comes:
+    permutations are immutable, and the kept reference stops the element's
+    id being reused.
 
     ``natural(element)`` exposes the underlying degree-n permutation; it is
     for experiment labelling only and is never read by the algorithms here.
@@ -53,6 +57,9 @@ class TestbedOracle(GroupOracle):
         self.params = params
         self.n = n
         self.k = k
+        # (element, its images.__getitem__) for the last element act checked,
+        # one attribute so the check and the map always belong together
+        self._checked: tuple = (None, None)
 
     def random_element(self, rng) -> perms.Permutation:
         return perms.random_element(self.params.group, self.n, rng)
@@ -61,12 +68,16 @@ class TestbedOracle(GroupOracle):
         return ksets.random_ksubset(self.n, self.k, rng)
 
     def act(self, point: frozenset[int], element: perms.Permutation) -> frozenset[int]:
-        images = element.images
-        if len(images) != self.n:
-            raise perms.DegreeMismatchError(
-                f"point degree {self.n} does not match permutation degree {len(images)}"
-            )
-        return frozenset(map(images.__getitem__, point))
+        checked, image_of = self._checked
+        if element is not checked:
+            images = element.images
+            if len(images) != self.n:
+                raise perms.DegreeMismatchError(
+                    f"point degree {self.n} does not match permutation degree {len(images)}"
+                )
+            image_of = images.__getitem__
+            self._checked = (element, image_of)
+        return frozenset(map(image_of, point))
 
     def natural(self, element: perms.Permutation) -> perms.Permutation:
         return element

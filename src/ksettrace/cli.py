@@ -6,7 +6,9 @@ options each subcommand takes.  Options may come from a JSON config file
 (--config); flags override file values, unknown keys are rejected, and a
 file value is read as its flag's text would be, so a value of the wrong type
 (``"trials": 2.9``, ``"seed": true``) is a usage error.  Every output starts
-with the converted configuration.  Stochastic subcommands require --seed.
+with the converted configuration.  Stochastic subcommands require --seed;
+find-mcycle and experiment follow their `# cost:` line with a `# wall:`
+line, the library call's wall time, the one line a seed does not fix.
 
 Exit codes: 0 success; 1 a verification/bound check failed, or the command
 failed after reading its input (an internal fault such as a
@@ -21,6 +23,7 @@ import contextlib
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 from . import algorithms, bounds, combinatorics, families, ksets, montecarlo, perms
@@ -113,6 +116,12 @@ def _line(opts: dict) -> families.LineParams:
         return families.line_params(opts["group"], opts["n"], opts["goal"])
 
 
+def _wall_line(seconds: float, per: str, count: int) -> str:
+    """The `# wall:` line: the library call's wall time in seconds, and in
+    microseconds per unit of its work.  Unlike `# cost:` it is not seeded."""
+    return "# wall: " + json.dumps({"seconds": seconds, per: seconds * 1e6 / count})
+
+
 def cmd_trace(opts: dict, out) -> int:
     n = opts["n"]
     with _reading_input():  # orbit_length raises only on its cap
@@ -141,10 +150,14 @@ def cmd_find_mcycle(opts: dict, out) -> int:
         oracle = algorithms.make_testbed_oracle(params, opts.get("k", 2))
         algorithms.check_detector_args(eps, M)
     rng = random.Random(opts["seed"])
+    t0 = time.perf_counter()
     result, transcript = algorithms.find_m_cycle(params, eps, M, oracle, rng)
+    seconds = time.perf_counter() - t0
     for line in transcript.lines():
         print(line, file=out)
-    print("# cost: " + json.dumps(transcript.cost()), file=out)
+    cost = transcript.cost()
+    print("# cost: " + json.dumps(cost), file=out)
+    print(_wall_line(seconds, "us_per_element", cost["elements"]), file=out)
     if result is algorithms.FAIL:
         print("result: Fail", file=out)
     else:
@@ -156,18 +169,22 @@ def cmd_experiment(opts: dict, out) -> int:
     config = montecarlo.ExperimentConfig(**{"k": 2, **opts})
     with _reading_input():
         config.validate()
-    if config.mode == "conditional":
-        stats = montecarlo.run_conditional(config)
+    conditional = config.mode == "conditional"
+    run = montecarlo.run_conditional if conditional else montecarlo.run_findmcycle
+    t0 = time.perf_counter()
+    stats = run(config)
+    seconds = time.perf_counter() - t0
+    if conditional:
         print(montecarlo.emit_report(stats), file=out, end="")
         est = stats.n_given_accept()
         if est.trials:
             print(f"# P(m-cycle | accept) = {est.value:.6f} ci={est.ci}", file=out)
     else:
-        stats = montecarlo.run_findmcycle(config)
         t = config.trials
         print(f"good: {stats.good}/{t}  bad: {stats.bad}/{t}  ugly: {stats.ugly}/{t}", file=out)
         print(f"ugly ci: {montecarlo.wilson_interval(stats.ugly, t)}", file=out)
     print("# cost: " + json.dumps(stats.cost), file=out)
+    print(_wall_line(seconds, "us_per_trial", config.trials), file=out)
     return EXIT_OK
 
 

@@ -4,15 +4,17 @@ A k-subset of {0..n-1} has two forms.  At the black-box oracle it is a
 frozenset of k ints: `random_ksubset` draws one uniformly, `parse_ksubset`
 reads the 1-based text form and `image` moves one pointwise.  In the
 conditional harness it is an n-bit int mask, bit x set for point x:
-`random_kmask` draws one uniformly through `rng.getrandbits` alone, building
-the mask as it draws (for 3k <= n the points of `rng.sample`), and the
-exact orbit-length engine, `layout_orbit_length`, reads it.  That engine,
-like the counting kernel, reads a cycle type as its list of cycle lengths:
-it lays the cycles on 0..n-1 as consecutive blocks in that order and takes
-the lcm of their rotation periods, each found by shifting a block's bits
-and comparing; `cycle_length_exact` relabels a permutation into that
-layout, and its slow reference is capped tracing through `image`,
-`algorithms.orbit_length`.
+`random_kmask` draws one uniformly, and the exact orbit-length engine,
+`layout_orbit_length`, reads it.  Both draws read the generator through
+`rng.getrandbits` alone; `_sample_mask` is the one home of CPython's
+`rng.sample(range(n), k)` rule, which gives `random_ksubset`'s points and,
+for 3k <= n, `random_kmask`'s mask.
+The orbit-length engine, like the counting kernel, reads a cycle type as
+its list of cycle lengths: it lays the cycles on 0..n-1 as consecutive
+blocks in that order and takes the lcm of their rotation periods, each
+found by shifting a block's bits and comparing; `cycle_length_exact`
+relabels a permutation into that layout, and its slow reference is capped
+tracing through `image`, `algorithms.orbit_length`.
 One counting kernel, `orbit_length_counts`, counts k-subsets by orbit
 length over the divisors of rm; the exact pass fraction pi_g
 (`good_ksubset_fraction`), `combinatorics.sigma_Sigma` and, at rm = 1,
@@ -131,55 +133,70 @@ def layout_orbit_length(mask: int, lengths: Sequence[int]) -> int:
     return result
 
 
+def _sample_mask(n: int, k: int, getrandbits) -> int:
+    """The mask of the k points of CPython's `rng.sample(range(n), k)`,
+    drawn through `getrandbits` alone with the same words: a pool of the
+    unchosen points while n is at most `sample`'s set size, otherwise points
+    redrawn until unchosen.  Each point is drawn as `rng.randrange` draws it,
+    the rule and rng contract of `perms.random_element`."""
+    mask = 0
+    # `sample`'s switch: a pool list while it is smaller than a k-set
+    setsize = 21 + 4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 21
+    if n <= setsize:
+        pool = list(range(n))
+        for rest in range(n, n - k, -1):
+            b = rest.bit_length()
+            j = getrandbits(b)
+            while j >= rest:
+                j = getrandbits(b)
+            mask |= 1 << pool[j]
+            pool[j] = pool[rest - 1]
+        return mask
+    b = n.bit_length()
+    for _ in range(k):
+        x = getrandbits(b)
+        while x >= n or mask >> x & 1:
+            x = getrandbits(b)
+        mask |= 1 << x
+    return mask
+
+
 def random_ksubset(n: int, k: int, rng) -> frozenset[int]:
-    """Uniform k-subset of {0..n-1} via partial shuffle."""
+    """Uniform k-subset of {0..n-1}: the points of CPython's
+    `rng.sample(range(n), k)`, drawn through `rng.getrandbits` alone by
+    `_sample_mask`, so seeded subsets and generator states equal that
+    call's."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return frozenset(rng.sample(range(n), k))
+    mask = _sample_mask(n, k, rng.getrandbits)
+    points = []
+    while mask:
+        x = mask.bit_length() - 1
+        points.append(x)
+        mask ^= 1 << x
+    return frozenset(points)
 
 
 def random_kmask(n: int, k: int, rng) -> int:
     """Uniform k-subset of {0..n-1} as an n-bit mask, bit x set for point x.
 
-    The generator is read only through `rng.getrandbits`, each point drawn
-    as `rng.randrange` draws it (the rule and rng contract of
-    `perms.random_element`).  If 3k <= n this is CPython's
-    `rng.sample(range(n), k)`, the draw of `random_ksubset`, written out on
-    the mask, so seeded masks and generator states equal that call's: a
-    pool of the unchosen points while n is at most `sample`'s set size,
-    otherwise points redrawn until unchosen.  Otherwise it starts from
-    `rng.getrandbits(n)`, a fair coin per point, then sets uniformly drawn
-    unset points, or clears uniformly drawn set points, until exactly k are
-    set; near k = n/2 that takes O(sqrt n) draws instead of k.  The start
-    is exchangeable and every fix-up step treats all points alike, so the
-    law of the result is invariant under Sym(n); that group is transitive
-    on k-subsets, so each is equally likely.  The two draws cost about the
-    same near k = 0.35n, hence the switch at 3k = n.
+    The generator is read only through `rng.getrandbits`.  If 3k <= n this
+    is `_sample_mask`, CPython's `rng.sample(range(n), k)`, the draw of
+    `random_ksubset`, so seeded masks and generator states equal that
+    call's.  Otherwise it starts from `rng.getrandbits(n)`, a fair coin per
+    point, then sets uniformly drawn unset points, or clears uniformly drawn
+    set points, until exactly k are set, each point drawn as `rng.randrange`
+    draws it; near k = n/2 that takes O(sqrt n) draws instead of k.  The
+    start is exchangeable and every fix-up step treats all points alike, so
+    the law of the result is invariant under Sym(n); that group is
+    transitive on k-subsets, so each is equally likely.  The two draws cost
+    about the same near k = 0.35n, hence the switch at 3k = n.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     getrandbits = rng.getrandbits
     if 3 * k <= n:
-        mask = 0
-        # `sample`'s switch: a pool list while it is smaller than a k-set
-        setsize = 21 + 4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 21
-        if n <= setsize:
-            pool = list(range(n))
-            for rest in range(n, n - k, -1):
-                b = rest.bit_length()
-                j = getrandbits(b)
-                while j >= rest:
-                    j = getrandbits(b)
-                mask |= 1 << pool[j]
-                pool[j] = pool[rest - 1]
-            return mask
-        b = n.bit_length()
-        for _ in range(k):
-            x = getrandbits(b)
-            while x >= n or mask >> x & 1:
-                x = getrandbits(b)
-            mask |= 1 << x
-        return mask
+        return _sample_mask(n, k, getrandbits)
     mask = getrandbits(n)
     count = mask.bit_count()
     # flip drawn points whose bit is `want`: unset ones while too few are

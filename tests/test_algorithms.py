@@ -111,6 +111,32 @@ class TestTestbedOracle:
             with pytest.raises(perms.DegreeMismatchError):
                 oracle.act(pt, Permutation.identity(n))
 
+    def test_remembered_element_alternated(self):
+        # act keeps the last element it checked; alternating two elements of
+        # one degree must give each its own image on every act
+        rng = random.Random(9)
+        for params, k in line_cells():
+            oracle = make_testbed_oracle(params, k)
+            g, h = oracle.random_element(rng), oracle.random_element(rng)
+            pt = oracle.random_point(rng)
+            for _ in range(4):
+                for element in (g, h, h, g):
+                    assert oracle.act(pt, element) == ksets.image(pt, element)
+                pt = oracle.act(pt, g)
+
+    def test_degree_mismatch_after_remembered_element(self):
+        rng = random.Random(10)
+        for params, k in line_cells():
+            oracle = make_testbed_oracle(params, k)
+            g = oracle.random_element(rng)
+            pt = oracle.random_point(rng)
+            assert oracle.act(pt, g) == ksets.image(pt, g)
+            wrong = Permutation.identity(params.n + 1)
+            for _ in range(2):
+                with pytest.raises(perms.DegreeMismatchError):
+                    oracle.act(pt, wrong)
+            assert oracle.act(pt, g) == ksets.image(pt, g)
+
     def test_random_point_domain(self):
         rng = random.Random(5)
         for params, k in line_cells(16):

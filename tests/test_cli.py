@@ -23,6 +23,11 @@ def run(argv):
     return code, buf.getvalue()
 
 
+def seeded(out):
+    """The output without its `# wall:` line, the one line a seed does not fix."""
+    return "".join(line for line in out.splitlines(True) if not line.startswith("# wall: "))
+
+
 class TestTrace:
     def test_basic(self):
         code, out = run(
@@ -69,7 +74,7 @@ class TestFindMCycle:
         lines = out.splitlines()
         assert lines[1:3] == ["1, ugly-step, 18 - - -", "2, ugly-step, 28 - - -"]
         assert lines[61] == "61, good, 40 40 40 40"
-        assert hashlib.sha256(out.encode()).hexdigest() == (
+        assert hashlib.sha256(seeded(out).encode()).hexdigest() == (
             "f4f6c5af69bc191e0bb8c5a46a8801dc61654f857903cbe020e7380918ed4dea")
 
 
@@ -129,6 +134,25 @@ class TestExperimentCost:
             group=perms.SYM, n=30, goal=families.LONG_CYCLE, k=2, trials=50, seed=3)
         (line,) = [x for x in out.splitlines() if x.startswith("# cost: ")]
         assert json.loads(line[len("# cost: "):]) == montecarlo.run_conditional(config).cost
+
+
+class TestWallTime:
+    ARGS = ["--group", "sym", "--n", "20", "--goal", "long-cycle", "--k", "2", "--seed", "3"]
+
+    @pytest.mark.parametrize("argv, per", [
+        (["find-mcycle", "--eps", "0.3"], "us_per_element"),
+        (["experiment", "--trials", "40"], "us_per_trial"),
+        (["experiment", "--trials", "4", "--eps", "0.3", "--mode", "findmcycle"], "us_per_trial"),
+    ])
+    def test_wall_line_follows_cost(self, argv, per):
+        code, out = run(argv + self.ARGS)
+        assert code == 0
+        lines = out.splitlines()
+        (at,) = [i for i, x in enumerate(lines) if x.startswith("# wall: ")]
+        assert lines[at - 1].startswith("# cost: ")
+        wall = json.loads(lines[at][len("# wall: "):])
+        assert set(wall) == {"seconds", per}
+        assert all(isinstance(v, float) and v > 0 for v in wall.values())
 
 
 class TestConfigFile:
@@ -367,7 +391,8 @@ class TestConfigRoundTrip:
         assert code == 0
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(config_of(out)))
-        assert run([argv[0], "--config", str(cfgfile)]) == (0, out)
+        code, rerun = run([argv[0], "--config", str(cfgfile)])
+        assert (code, seeded(rerun)) == (0, seeded(out))
 
 
 class TestExitCodes:

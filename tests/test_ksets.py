@@ -229,6 +229,24 @@ class TestRandomKSubset:
         b = [ksets.random_ksubset(12, 4, random.Random(3)) for _ in range(10)]
         assert a == b
 
+    @pytest.mark.parametrize("n", [*range(1, 31), 84, 85, 86, 200, 201])
+    def test_matches_rng_sample(self, n):
+        # every k: the points and the generator state of CPython's
+        # rng.sample(range(n), k), on its pool path and its set path
+        # (at n = 200, k <= 21 takes the set and k >= 22 the pool)
+        for k in range(1, n + 1):
+            for seed in range(3):
+                a, b = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    assert ksets.random_ksubset(n, k, a) == frozenset(b.sample(range(n), k))
+                assert a.getstate() == b.getstate()
+
+    def test_rejects_k_outside_range(self):
+        rng = random.Random(1)
+        for n, k in [(5, 0), (5, 6), (5, -1), (1, 2)]:
+            with pytest.raises(ValueError):
+                ksets.random_ksubset(n, k, rng)
+
 
 class TestRandomKMask:
     @pytest.mark.parametrize("n, k", [(8, 2), (9, 3), (8, 4), (9, 4), (7, 6)])
@@ -250,11 +268,13 @@ class TestRandomKMask:
                                       # n <= 21 below k = 6, n <= 85 at k = 6
                                       (21, 2), (22, 2), (85, 6), (86, 6)])
     def test_sample_path_matches_random_ksubset(self, n, k):
-        # for 3k <= n the mask is the same rng.sample draw as random_ksubset
-        # and leaves the generator in the same state
+        # for 3k <= n the mask holds the points of CPython's rng.sample, the
+        # draw random_ksubset makes, and leaves the generator in the same
+        # state; anchored on rng.sample itself, so the library's two draws
+        # cannot drift together
         a, b = random.Random(8), random.Random(8)
         for _ in range(50):
-            assert mask_points(ksets.random_kmask(n, k, a), n) == ksets.random_ksubset(n, k, b)
+            assert mask_points(ksets.random_kmask(n, k, a), n) == frozenset(b.sample(range(n), k))
         assert a.getstate() == b.getstate()
 
     @pytest.mark.parametrize("n, k", [(3, 2), (6, 3), (8, 7), (13, 6), (200, 100), (201, 100)])

@@ -156,6 +156,14 @@ class TestGetrandbitsContract:
         assert (st.contingency, st.ngood_trials, st.cost) == (
             expected.contingency, expected.ngood_trials, expected.cost)
 
+    def test_ksubset_draw_reads_only_getrandbits(self):
+        # the oracle's point draw on both of sample's paths, with the points
+        # of the same seed's rng.sample
+        for n, k in [(200, 2), (200, 21), (200, 22), (21, 7), (30, 30), (9, 4)]:
+            a, b = random.Random(n + k), random.Random(n + k)
+            got = [ksets.random_ksubset(n, k, GetrandbitsOnly(a)) for _ in range(30)]
+            assert got == [frozenset(b.sample(range(n), k)) for _ in range(30)]
+
 
 class TestRunFindMCycle:
     def test_outcome_tally(self):
