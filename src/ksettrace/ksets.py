@@ -213,12 +213,16 @@ def random_kmask(n: int, k: int, rng) -> int:
 
 def good_ksubset_fraction(g: Permutation, k: int, m: int, r: int) -> Fraction:
     """Exact fraction of k-subsets with orbit length r0*m, r0 | r."""
+    if not 1 <= k <= g.n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={g.n}")
     return Fraction(good_ksubset_count(g.cycle_type(), k, m, r), math.comb(g.n, k))
 
 
 def good_ksubset_count(cycle_lengths: Sequence[int], k: int, m: int, r: int) -> int:
     """Number of k-subsets with orbit length r0*m, r0 | r, for a permutation
-    with the given cycle lengths."""
+    with the given cycle lengths; m and r must be positive."""
+    if m < 1 or r < 1:
+        raise ValueError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
     counts = orbit_length_counts(cycle_lengths, k, r * m)
     return sum(counts.get(length, 0) for length in accepted_lengths(m, r))
 
@@ -231,8 +235,12 @@ def orbit_length_counts(cycle_lengths: Sequence[int], k: int, rm: int) -> dict[i
     The orbit length is the lcm of the rotation periods on the cycles, so it
     divides rm only if every period d divides gcd(t, rm); the DP over
     (points used, running lcm) therefore stays on the divisors of rm.  Each
-    t-cycle's table comes from the cache of `_period_counts`.
+    t-cycle's table comes from the cache of `_period_counts`.  Raises
+    ValueError unless rm and every cycle length are positive; the table
+    builder checks the length, so a cached table costs no check.
     """
+    if rm < 1:
+        raise ValueError(f"need rm >= 1, got rm={rm}")
     state: dict[tuple[int, int], int] = {(0, 1): 1}
     left = sum(cycle_lengths)
     for t in cycle_lengths:
@@ -264,6 +272,8 @@ def _period_counts(t: int, g: int) -> tuple[tuple[int, tuple[tuple[int, int], ..
     the rotation by d, which gives C(d, c) of them; subtracting the counts of
     the proper divisors of d leaves period exactly d.
     """
+    if t < 1:
+        raise ValueError(f"cycle lengths must be positive, got a cycle of length {t}")
     divs = divisors(g)
     exact: dict[int, dict[int, int]] = {}
     for d in divs:

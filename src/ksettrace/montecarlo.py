@@ -221,9 +221,15 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     the same orbit length law under that layout as under any element of
     the type.  Deterministic given (seed, workers): each logical worker
     owns a derived stream and the reduction is commutative counting.
-    stats.cost counts the types drawn (`elements`), the masks whose orbit
-    length was read (`points_traced`) and the trials rejected at their
-    first mask (`early_rejections`), under the keys of `Transcript.cost()`.
+    stats.cost counts the types drawn (`elements`), the k-subsets the test
+    draws (`points_traced`) and the trials rejected at their first k-subset
+    (`early_rejections`), under the keys of `Transcript.cost()`.
+
+    An Other element's order is not a multiple of m, and every orbit length
+    divides the order, so no orbit length of it is an accepted r0*m: its
+    first mask is drawn, which keeps the stream, but its orbit length is
+    never computed, and the trial counts one point traced and one early
+    rejection.  Only an N element can lie in N_good.
     """
     config.validate()
     params = config.line()
@@ -234,6 +240,7 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     ngood = config.condition == "ngood"
     classify_type, is_ngood_type = families.classify_type, families.is_ngood_type
     random_kmask, orbit_length = ksets.random_kmask, ksets.layout_orbit_length
+    other, in_n = families.FAMILY_OTHER, families.FAMILY_N
     masks = range(1, config.M + 1)
     traced = early = 0
     for rng in _trial_rngs(config):
@@ -244,14 +251,16 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
         # no mask is drawn after the first rejected one
         accepted = True
         for i in masks:
-            if orbit_length(random_kmask(n, k, rng), parts) not in good_lengths:
+            # drawn before the Other test, so an Other trial keeps the stream
+            mask = random_kmask(n, k, rng)
+            if fam == other or orbit_length(mask, parts) not in good_lengths:
                 accepted = False
                 early += i == 1
                 break
         traced += i
         key = (fam, accepted)
         contingency[key] = contingency.get(key, 0) + 1
-        if is_ngood_type(parts, params):
+        if fam == in_n and is_ngood_type(parts, params):
             stats.ngood_trials += 1
             if accepted:
                 stats.ngood_accepted += 1

@@ -463,6 +463,33 @@ class TestCountingKernel:
         assert ksets.good_ksubset_fraction(g, k, lp.m, lp.r) == Fraction(good, math.comb(lp.n, k))
 
 
+    @pytest.mark.parametrize("k", [0, 7, -1])
+    def test_fraction_rejects_k_outside_range(self, k):
+        # k = 7 on a degree-6 element ended in Fraction(0, 0)
+        with pytest.raises(ValueError, match="need 1 <= k <= n"):
+            ksets.good_ksubset_fraction(six_cycle(), k, 6, 1)
+
+    @pytest.mark.parametrize("m, r", [(0, 1), (-6, 1), (6, 0), (-6, -1)])
+    def test_rejects_m_or_r_below_one(self, m, r):
+        # m <= 0 gave a pass fraction of 0
+        with pytest.raises(ValueError, match="need m >= 1 and r >= 1"):
+            ksets.good_ksubset_fraction(six_cycle(), 2, m, r)
+        with pytest.raises(ValueError, match="need m >= 1 and r >= 1"):
+            ksets.good_ksubset_count((6,), 2, m, r)
+
+    @pytest.mark.parametrize("rm", [0, -6])
+    def test_counts_reject_rm_below_one(self, rm):
+        # rm = 0 counted every orbit length, though none divides 0 by the contract
+        with pytest.raises(ValueError, match="need rm >= 1"):
+            ksets.orbit_length_counts((3, 2, 1), 2, rm)
+
+    @pytest.mark.parametrize("lengths", [(3, 0, 1), (0,), (2, -1, 3)])
+    def test_counts_reject_cycle_lengths_below_one(self, lengths):
+        # a 0-cycle was counted: (3, 0, 1) gave {3: 6}
+        with pytest.raises(ValueError, match="cycle lengths must be positive"):
+            ksets.orbit_length_counts(lengths, 3, 6)
+
+
 class TestPeriodCountCache:
     """`ksets._period_counts` is cached across calls, keyed by (t, gcd(t, rm))
     alone, so no table may carry state from the k or rm that built it."""

@@ -67,27 +67,31 @@ class TestRunConditional:
         floor = (48 / 50) ** 4
         assert est.value >= floor - 3 * est.half_width
 
-    @pytest.mark.parametrize("line, n, k, condition, contingency, ngood_trials, ngood_accepted", [
-        # uniform draws through the rng.sample mask path (3k <= n)
-        (1, 100, 2, "none", {("N", False): 1, ("N", True): 20, ("Other", False): 1885,
-                             ("R", False): 91, ("Sge2", False): 3}, 21, 20),
-        # the 3k > n fix-up path, with Alt's type redraws
-        (4, 21, 10, "none", {("N", True): 167, ("Other", False): 1585, ("R", False): 244,
-                             ("R", True): 4}, 167, 167),
-        # conditioned on N_good, with a few rejected trials
-        (2, 17, 8, "ngood", {("N", False): 3, ("N", True): 1997}, 2000, 1997),
-        (6, 20, 3, "ngood", {("N", False): 12, ("N", True): 1988}, 2000, 1988),
-    ])
+    @pytest.mark.parametrize(
+        "line, n, k, condition, contingency, ngood_trials, ngood_accepted, cost", [
+            # uniform draws through the rng.sample mask path (3k <= n)
+            (1, 100, 2, "none", {("N", False): 1, ("N", True): 20, ("Other", False): 1885,
+                                 ("R", False): 91, ("Sge2", False): 3}, 21, 20, (2064, 1977)),
+            # the 3k > n fix-up path, with Alt's type redraws
+            (4, 21, 10, "none", {("N", True): 167, ("Other", False): 1585, ("R", False): 244,
+                                 ("R", True): 4}, 167, 167, (2520, 1824)),
+            # conditioned on N_good, with a few rejected trials
+            (2, 17, 8, "ngood", {("N", False): 3, ("N", True): 1997}, 2000, 1997, (7993, 1)),
+            (6, 20, 3, "ngood", {("N", False): 12, ("N", True): 1988}, 2000, 1988, (7986, 2)),
+        ])
     def test_seeded_outputs_pinned(self, line, n, k, condition, contingency,
-                                   ngood_trials, ngood_accepted):
+                                   ngood_trials, ngood_accepted, cost):
         # the tallies move when the sampling stream changes; a cell with few
         # rejections can miss one change, so four cells on both draw paths
-        # are pinned
+        # are pinned, with the cost counts (points traced, early rejections)
         group, goal = families.LINES[line][:2]
         st = montecarlo.run_conditional(cfg(group=group, n=n, goal=goal, k=k, condition=condition,
                                             trials=2000, seed=5, workers=2))
         assert st.contingency == contingency
         assert (st.ngood_trials, st.ngood_accepted) == (ngood_trials, ngood_accepted)
+        points_traced, early_rejections = cost
+        assert st.cost == Counter(elements=2000, points_traced=points_traced,
+                                  early_rejections=early_rejections)
 
     @pytest.mark.parametrize("goal, n, seed", [
         (families.LONG_CYCLE, 9, 41),  # line 4
@@ -125,6 +129,92 @@ class TestRunConditional:
         st = montecarlo.run_conditional(cfg(n=200, k=100, condition="ngood", trials=300, seed=6))
         assert st.contingency == {(families.FAMILY_N, True): 300}
         assert st.cost == {"elements": 300, "points_traced": 4 * 300, "early_rejections": 0}
+
+
+def first_admissible(line, start):
+    """The line's params at its least admissible n >= start."""
+    n = start
+    while True:
+        try:
+            return families.line_params_by_line(line, n)
+        except ValueError:
+            n += 1
+
+
+def reference_conditional(config):
+    """(contingency, ngood_trials, ngood_accepted, cost) of the conditional
+    trial loop with no shortcut: every drawn mask's orbit length computed,
+    Other elements included, and `is_ngood_type` asked of every trial."""
+    params = config.line()
+    n, k = params.n, config.k
+    good_lengths = families.accepted_lengths(params.m, params.r)
+    contingency = {}
+    ngood_trials = ngood_accepted = traced = early = 0
+    for rng in montecarlo._trial_rngs(config):
+        if config.condition == "ngood":
+            parts = montecarlo.sample_ngood(params, rng)
+        else:
+            parts = montecarlo.sample_type(params.group, n, rng)
+        fam = families.classify_type(parts, params, config.s)
+        accepted = True
+        for i in range(1, config.M + 1):
+            if ksets.layout_orbit_length(ksets.random_kmask(n, k, rng), parts) not in good_lengths:
+                accepted = False
+                early += i == 1
+                break
+        traced += i
+        contingency[fam, accepted] = contingency.get((fam, accepted), 0) + 1
+        if families.is_ngood_type(parts, params):
+            ngood_trials += 1
+            ngood_accepted += accepted
+    cost = Counter(elements=config.trials, points_traced=traced, early_rejections=early)
+    return contingency, ngood_trials, ngood_accepted, cost
+
+
+class TestOtherRejectedUnread:
+    """`run_conditional` rejects an Other element at its first mask without
+    computing that mask's orbit length: the slow path it replaces, checked
+    on all nine lines."""
+
+    @pytest.mark.parametrize("line", range(1, 10))
+    def test_other_orbit_lengths_never_accepted(self, line):
+        # no mask of either draw path has an accepted orbit length under an
+        # Other type, at small n and at n >= 100
+        rng = random.Random(line)
+        for start in (12, 100):
+            lp = first_admissible(line, start)
+            good_lengths = families.accepted_lengths(lp.m, lp.r)
+            others = 0
+            while others < 40:
+                parts = montecarlo.sample_type(lp.group, lp.n, rng)
+                if families.classify_type(parts, lp, Fraction(5, 8)) != families.FAMILY_OTHER:
+                    continue
+                others += 1
+                for k in (2, lp.n // 2):
+                    for _ in range(5):
+                        mask = ksets.random_kmask(lp.n, k, rng)
+                        assert ksets.layout_orbit_length(mask, parts) not in good_lengths
+        # and exactly: every Other class passes no k-subset at all
+        lp = first_admissible(line, 8)
+        for k in (2, 3, lp.n // 2):
+            rows = [row for row in class_table(lp, k) if row[3] == families.FAMILY_OTHER]
+            assert rows
+            assert all(pi == 0 for _, _, pi, _, _ in rows)
+
+    @pytest.mark.parametrize("condition", ["none", "ngood"])
+    @pytest.mark.parametrize("line", range(1, 10))
+    def test_tallies_match_the_reading_loop(self, line, condition):
+        # same contingency, N_good tallies and cost as the loop that reads
+        # every orbit length, on both mask draw paths and 1 or 2 workers
+        for start in (24, 100):
+            lp = first_admissible(line, start)
+            for k in (2, lp.n // 2):
+                for workers in (1, 2):
+                    config = cfg(group=lp.group, n=lp.n, goal=families.LINES[line][1], k=k, condition=condition,
+                                 trials=1000, seed=line, workers=workers)
+                    st = montecarlo.run_conditional(config)
+                    got = (st.contingency, st.ngood_trials, st.ngood_accepted, st.cost)
+                    assert got == reference_conditional(config), (lp.n, k, workers)
 
 
 class GetrandbitsOnly:
