@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import random
 import sys
 import time
@@ -189,6 +190,8 @@ def cmd_experiment(opts: dict, out) -> int:
 
 
 def cmd_verify(opts: dict, out) -> int:
+    """The lemma suite, one row per checked instance: the one home of its
+    grids, which acceptance criterion 4 runs as `--suite all`."""
     suite = opts.get("suite", "all")
     failures = 0
     rows = 0
@@ -224,8 +227,22 @@ def cmd_verify(opts: dict, out) -> int:
                     closed = combinatorics.sigma_cycle(t, k0, p)
                     brute = combinatorics.sigma_cycle_brute(t, k0, p)
                     emit(combinatorics.Verdict("sigma", closed, brute, closed == brute), t, k0, p)
+        rng = random.Random(4)
+        for _ in range(10**3):
+            rm = rng.choice([6, 10, 12, 15, 20, 30, 42])
+            lengths, u = [], 0
+            target = rng.randint(4, 14)
+            while u < target:
+                t = rng.randint(2, 11)
+                if rm % t != 0:
+                    lengths.append(t)
+                    u += t
+            k0 = rng.randint(1, u)
+            got = combinatorics.sigma_Sigma(lengths, rm, k0)
+            cap = 0 if k0 == 1 else (1 if k0 == u else Fraction(math.comb(u, k0), u - 1))
+            emit(combinatorics.Verdict("sigma-Sigma", got, cap, got <= cap), lengths, rm, k0)
     if suite in ("divisors", "all"):
-        for n in range(8, 10**4):
+        for n in range(8, 10**4 + 7):  # every line up to m = 10^4, as m >= n - 6
             for group, goal in families.PAIRS:
                 lp = families.line_params(group, n, goal)
                 prof = families.divisor_profile(lp)

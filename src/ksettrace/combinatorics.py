@@ -18,8 +18,8 @@ from typing import Sequence
 
 import mpmath
 
-from .families import check_s, partitions
-from .ksets import orbit_length_counts
+from .families import check_s, partitions, prime_divisors
+from .ksets import invariant_subset_count, orbit_length_counts
 
 
 @dataclass(frozen=True)
@@ -73,20 +73,20 @@ def sigma_cycle(t: int, k0: int, p: int) -> int:
     p-part of t: C(t/p, k0/p) if p | k0, else 0.
 
     The qualifying subsets are exactly the unions of orbits of the
-    order-p rotation subgroup.
+    order-p rotation subgroup, those of period dividing t/p, which
+    `ksets.invariant_subset_count` counts.  Raises ValueError unless p is
+    a prime divisor of t.
     """
-    if t % p != 0:
-        raise ValueError(f"p={p} must divide t={t}")
+    _check_prime_divisor(t, p)
     if not 0 < k0 <= t:
         raise ValueError(f"need 1 <= k0 <= t, got k0={k0}")
-    if k0 % p != 0:
-        return 0
-    return math.comb(t // p, k0 // p)
+    return invariant_subset_count(t, k0, t // p)
 
 
 def sigma_cycle_brute(t: int, k0: int, p: int) -> int:
     """Enumeration cross-check for sigma_cycle (t <= 20): count k0-subsets of
     Z_t fixed by rotation by t/p, i.e. with period dividing t/p."""
+    _check_prime_divisor(t, p)
     if t > 20:
         raise ValueError("brute force limited to t <= 20")
     shift = t // p
@@ -96,6 +96,11 @@ def sigma_cycle_brute(t: int, k0: int, p: int) -> int:
         if all((x + shift) % t in sset for x in pts):
             count += 1
     return count
+
+
+def _check_prime_divisor(t: int, p: int) -> None:
+    if t < 1 or p not in prime_divisors(t):
+        raise ValueError(f"p={p} must be a prime divisor of t={t}")
 
 
 def sigma_Sigma(cycle_lengths: Sequence[int], rm: int, k0: int) -> int:

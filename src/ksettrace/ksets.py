@@ -21,7 +21,10 @@ length over the divisors of rm; the exact pass fraction pi_g
 `combinatorics.npk_count(part_sizes, k0)` read it.
 Its per-cycle period tables are cached across calls, keyed by (t, gcd(t, rm))
 and built for every subset size, so the cache holds at most one table per
-pair (t, d) with d | t <= n, whatever k and rm a sweep visits.
+pair (t, d) with d | t <= n, whatever k and rm a sweep visits.  The tables
+are built from `invariant_subset_count`, the one home of the number of
+j-subsets of a t-cycle whose period divides d; `combinatorics.sigma_cycle`
+reads it too.
 """
 
 from __future__ import annotations
@@ -262,23 +265,29 @@ def orbit_length_counts(cycle_lengths: Sequence[int], k: int, rm: int) -> dict[i
     return {length: cnt for (used, length), cnt in state.items() if used == k}
 
 
+def invariant_subset_count(t: int, j: int, d: int) -> int:
+    """Number of j-subsets of a t-cycle whose rotation period divides d, for
+    d | t: the unions of c = j*d/t of the d orbits of the rotation by d, so
+    C(d, c), or 0 unless t | j*d."""
+    c, rest = divmod(j * d, t)
+    return 0 if rest else math.comb(d, c)
+
+
 @functools.cache  # depends on (t, g) alone, so one table serves every k and rm
 def _period_counts(t: int, g: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """((d, ((j, count), ...)), ...) for each d | g: the number of j-subsets
     (j increasing) of a t-cycle with rotation period exactly d.  Tuples, so
     no caller can change the shared table.
 
-    A j-subset has period dividing d iff it is a union of c = j*d/t orbits of
-    the rotation by d, which gives C(d, c) of them; subtracting the counts of
-    the proper divisors of d leaves period exactly d.
+    `invariant_subset_count` gives the j-subsets of period dividing d;
+    subtracting the counts of the proper divisors of d leaves period exactly d.
     """
     if t < 1:
         raise ValueError(f"cycle lengths must be positive, got a cycle of length {t}")
     divs = divisors(g)
     exact: dict[int, dict[int, int]] = {}
     for d in divs:
-        step = t // d
-        row = {c * step: math.comb(d, c) for c in range(d + 1)}
+        row = {j: invariant_subset_count(t, j, d) for j in range(0, t + 1, t // d)}
         for e in divs:
             if e >= d:
                 break

@@ -407,6 +407,8 @@ def small_v_proportions(v: int, rm: int, s: Fraction,
 
 def p1plus_recursion(v: int, rm: int, s: Fraction) -> Fraction:
     """P1plus via the divisor recursion sum_{d in D1+(v)} (1/d) P0(v-d, rm)."""
+    if v < 0:
+        raise ValueError("v must be >= 0")
     s = Fraction(s)
     families.check_s(s)
     p_, q_ = s.numerator, s.denominator

@@ -10,11 +10,12 @@ n!/2 (so lines 4 and 5 have rho = 2).  Criterion 9's reference constants
 the table, r = 3; at r = 1 the same formula gives 1.1276e8 and 108.63.
 """
 
-import math
+import contextlib
+import io
 import random
 from fractions import Fraction
 
-from ksettrace import algorithms, bounds, combinatorics as cb, families, ksets, montecarlo, perms
+from ksettrace import algorithms, bounds, cli, families, ksets, montecarlo, perms
 from ksettrace.montecarlo import Estimate, ExperimentConfig
 from ksettrace.perms import SYM
 
@@ -84,51 +85,15 @@ def test_criterion_03_dual_engines():
 
 
 def test_criterion_04_lemma_suite():
-    violations = []
-
-    for a in range(2, 7):
-        for c in range(2, 9):
-            for ell in range(1, c):
-                if not cb.check_binom_lemma(a, c, ell).holds:
-                    violations.append(f"binom({a},{c},{ell})")
-
-    for u in range(2, 13):
-        for sizes in cb.partitions_with_min_part(u):
-            for k0 in range(2, u + 1):
-                cnt = cb.npk_count(sizes, k0)
-                b1, b2, b3 = cb.npk_bounds(u, k0)
-                if cnt > b1 or cnt > b3 or (b2 is not None and cnt > b2):
-                    violations.append(f"npk{sizes},{k0}")
-
-    for t in range(2, 21):
-        for p in {q for q in (2, 3, 5, 7, 11, 13, 17, 19) if t % q == 0}:
-            for k0 in range(1, t + 1):
-                if cb.sigma_cycle(t, k0, p) != cb.sigma_cycle_brute(t, k0, p):
-                    violations.append(f"sigma_cycle({t},{k0},{p})")
-
-    rng = random.Random(4)
-    for _ in range(10**3):
-        rm = rng.choice([6, 10, 12, 15, 20, 30, 42])
-        lengths, u = [], 0
-        target = rng.randint(4, 14)
-        while u < target:
-            t = rng.randint(2, 11)
-            if rm % t != 0:
-                lengths.append(t)
-                u += t
-        k0 = rng.randint(1, u)
-        got = cb.sigma_Sigma(lengths, rm, k0)
-        cap = 0 if k0 == 1 else (1 if k0 == u else Fraction(math.comb(u, k0), u - 1))
-        if got > cap:
-            violations.append(f"sigma_Sigma({lengths},{rm},{k0})")
-
-    for n in range(8, 10**4 + 7):  # every line up to m = 10^4, as m >= n - 6
-        for group, goal in families.PAIRS:
-            lp = families.line_params(group, n, goal)
-            violations += families.divisor_profile(lp)["violations"]
-
-    ok = not violations
-    detail = "0 violations across binom/npk/sigma/divisor suites" if ok else "; ".join(violations[:5])
+    # the suite's grids live in one place, `ksettrace verify`
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--suite", "all"])
+    rows = out.getvalue().splitlines()
+    last = rows[-1] if rows else "no output"
+    ok = code == 0 and last == "# checked 42093 instances, 0 failures"
+    failed = [row for row in rows if row.endswith(", False")]
+    detail = f"ksettrace verify --suite all: {last}" if ok else "; ".join(failed[:5] or [last])
     _report(4, ok, detail)
     assert ok, detail
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ksettrace import cli, families, ksets, montecarlo, perms
+from ksettrace import cli, combinatorics, families, ksets, montecarlo, perms
 
 
 def run(argv):
@@ -182,14 +183,27 @@ class TestConfigFile:
 
 
 class TestVerify:
-    def test_binom_suite(self):
+    def test_binom_suite(self, monkeypatch):
         code, out = run(["verify", "--suite", "binom"])
+        rows = out.splitlines()
         assert code == 0
-        assert "0 failures" in out
+        assert "binom, 2, 3, 1, 15, 15, True" in rows
+        assert rows[-1] == "# checked 140 instances, 0 failures"
 
-    def test_sigma_suite(self):
-        code, out = run(["verify", "--suite", "sigma"])
-        assert code == 0
+        check = combinatorics.check_binom_lemma
+
+        def failing(a, c, ell):
+            verdict = check(a, c, ell)
+            if (a, c, ell) == (2, 3, 1):
+                return dataclasses.replace(verdict, holds=False)
+            return verdict
+
+        monkeypatch.setattr(combinatorics, "check_binom_lemma", failing)
+        code, out = run(["verify", "--suite", "binom"])
+        rows = out.splitlines()
+        assert code == 1
+        assert "binom, 2, 3, 1, 15, 15, False" in rows
+        assert rows[-1] == "# checked 140 instances, 1 failures"
 
     def test_divisors_suite(self, monkeypatch):
         code, out = run(["verify", "--suite", "divisors"])
@@ -198,7 +212,7 @@ class TestVerify:
         # n = 4 (mod 6) on line 6 and n = 5 (mod 6) on line 7 are swept too
         assert "divisor-profile, 6, 10, [3], table, True" in rows
         assert "divisor-profile, 7, 11, [3], table, True" in rows
-        assert rows[-1] == "# checked 39968 instances, 0 failures"
+        assert rows[-1] == "# checked 39996 instances, 0 failures"
 
         profile = families.divisor_profile
 
@@ -213,7 +227,7 @@ class TestVerify:
         rows = out.splitlines()
         assert code == 1
         assert "divisor-profile, 6, 10, [3], table, False" in rows
-        assert rows[-1] == "# checked 39968 instances, 1 failures"
+        assert rows[-1] == "# checked 39996 instances, 1 failures"
 
     def test_exhaustive_removed(self, tmp_path):
         # the flag was parsed and ignored; it is now an unknown option

@@ -489,6 +489,16 @@ class TestCountingKernel:
         with pytest.raises(ValueError, match="cycle lengths must be positive"):
             ksets.orbit_length_counts(lengths, 3, 6)
 
+    def test_invariant_subset_count_matches_enumeration(self):
+        for t in range(1, 9):
+            for d in families.divisors(t):
+                for j in range(t + 1):
+                    fixed = sum(
+                        {(x + d) % t for x in pts} == set(pts)
+                        for pts in combinations(range(t), j)
+                    )
+                    assert ksets.invariant_subset_count(t, j, d) == fixed, (t, j, d)
+
 
 class TestPeriodCountCache:
     """`ksets._period_counts` is cached across calls, keyed by (t, gcd(t, rm))

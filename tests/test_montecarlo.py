@@ -670,6 +670,12 @@ class TestSmallV:
         with pytest.raises(ValueError, match="s must lie"):
             montecarlo.p1plus_recursion(6, 12, s)
 
+    def test_negative_v_rejected(self):
+        # the recursion returned 0 where small_v_proportions raises
+        for proportions in (montecarlo.small_v_proportions, montecarlo.p1plus_recursion):
+            with pytest.raises(ValueError, match="v must be >= 0"):
+                proportions(-1, 12, Fraction(5, 8))
+
     def test_recursion_agreement(self):
         for v in range(1, 13):
             for rm in (12, 20, 30, 60):
