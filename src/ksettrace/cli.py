@@ -8,7 +8,8 @@ file value is read as its flag's text would be, so a value of the wrong type
 (``"trials": 2.9``, ``"seed": true``) is a usage error.  Every output starts
 with the converted configuration.  Stochastic subcommands require --seed;
 find-mcycle and experiment follow their `# cost:` line with a `# wall:`
-line, the library call's wall time, the one line a seed does not fix.
+line, the library call's wall time (experiment's also gives the processes
+it ran on), the one line a seed does not fix.
 
 Exit codes: 0 success; 1 a verification/bound check failed, or the command
 failed after reading its input (an internal fault such as a
@@ -117,10 +118,11 @@ def _line(opts: dict) -> families.LineParams:
         return families.line_params(opts["group"], opts["n"], opts["goal"])
 
 
-def _wall_line(seconds: float, per: str, count: int) -> str:
+def _wall_line(seconds: float, per: str, count: int, **extra) -> str:
     """The `# wall:` line: the library call's wall time in seconds, and in
-    microseconds per unit of its work.  Unlike `# cost:` it is not seeded."""
-    return "# wall: " + json.dumps({"seconds": seconds, per: seconds * 1e6 / count})
+    microseconds per unit of its work, then the `extra` fields.  Unlike
+    `# cost:` it is not seeded."""
+    return "# wall: " + json.dumps({"seconds": seconds, per: seconds * 1e6 / count, **extra})
 
 
 def cmd_trace(opts: dict, out) -> int:
@@ -185,7 +187,8 @@ def cmd_experiment(opts: dict, out) -> int:
         print(f"good: {stats.good}/{t}  bad: {stats.bad}/{t}  ugly: {stats.ugly}/{t}", file=out)
         print(f"ugly ci: {montecarlo.wilson_interval(stats.ugly, t)}", file=out)
     print("# cost: " + json.dumps(stats.cost), file=out)
-    print(_wall_line(seconds, "us_per_trial", config.trials), file=out)
+    print(_wall_line(seconds, "us_per_trial", config.trials,
+                     processes=montecarlo.process_count(config)), file=out)
     return EXIT_OK
 
 

@@ -10,13 +10,15 @@ import functools
 import hashlib
 import io
 import math
+import os
 import random
+import threading
 from bisect import bisect
 from collections import Counter
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import algorithms, families, ksets, perms
 from .families import LineParams
@@ -26,7 +28,12 @@ WILSON_Z = 1.959963984540054  # two-sided 95%
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment cell."""
+    """One experiment cell.
+
+    The trials split over `workers` logical workers, each with its own
+    seeded stream, so the tallies depend on (seed, workers).  A harness
+    runs the workers on min(workers, usable CPUs) processes
+    (`process_count`), with the same tallies on any number of them."""
 
     group: str
     n: int
@@ -153,16 +160,147 @@ class SummaryStats:
         }
 
 
-def _trial_rngs(config: ExperimentConfig) -> Iterator[random.Random]:
-    """Each trial's random stream, in trial order: the trials split evenly
-    over config.workers logical workers, the first ones taking one more, and
-    worker w's trials share one stream seeded from sha256 of "seed:w"."""
+def _worker_stream(config: ExperimentConfig, worker: int) -> tuple[random.Random, int]:
+    """Logical worker `worker`'s random stream and its trial count: the
+    trials split evenly over config.workers logical workers, the first ones
+    taking one more, and a worker's trials share one stream, seeded from
+    sha256 of "seed:worker"."""
     base, extra = divmod(config.trials, config.workers)
-    for worker in range(config.workers):
-        digest = hashlib.sha256(f"{config.seed}:{worker}".encode()).digest()
-        rng = random.Random(int.from_bytes(digest[:16], "big"))
-        for _ in range(base + (worker < extra)):
-            yield rng
+    digest = hashlib.sha256(f"{config.seed}:{worker}".encode()).digest()
+    return random.Random(int.from_bytes(digest[:16], "big")), base + (worker < extra)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def process_count(config: ExperimentConfig) -> int:
+    """The processes a harness call on config runs its logical workers on:
+    min(config.workers, usable CPUs), or 1 in a daemonic process (a
+    multiprocessing pool's worker, say), which may start no children."""
+    count = min(config.workers, _usable_cpus())
+    if count > 1:
+        import multiprocessing
+
+        if multiprocessing.current_process().daemon:
+            return 1
+    return count
+
+
+def _child_loop(conn, inherited) -> None:
+    """A forked child's life: receive (fn, config, workers), send back
+    [fn(config, w) for w in workers] or the exception it raised, and
+    return at EOF, which comes when the parent closes its end or dies."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
+    for other in inherited:  # held here, they would keep EOF from their children
+        other.close()
+    while True:
+        try:
+            fn, config, workers = conn.recv()
+        except EOFError:
+            return
+        try:
+            out = [fn(config, w) for w in workers]
+        except Exception as exc:  # sent to the caller, which raises it
+            out = exc
+        conn.send(out)
+
+
+class _Children:
+    """Persistent forked children that run shares of a call's logical
+    workers, started on the first call that needs them (never at import)
+    and reused by every later call.  A lock serialises calls.  A child
+    found dead is replaced, and a share whose child dies during a call runs
+    in the caller.  A call that raises stops every child, since replies may
+    still be in flight; the next call starts new ones."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._pid = None
+        self._procs = []  # (process, our end of its pipe)
+
+    def _ready(self, count: int) -> list:
+        """Our ends of the pipes of `count` live children."""
+        import multiprocessing
+
+        if self._pid != os.getpid():  # a fork of the process that started them
+            for _, conn in self._procs:
+                conn.close()
+            self._procs, self._pid = [], os.getpid()
+        live = []
+        for proc, conn in self._procs:
+            if proc.is_alive():
+                live.append((proc, conn))
+            else:
+                conn.close()
+        self._procs = live
+        ctx = multiprocessing.get_context("fork")
+        while len(self._procs) < count:
+            ours, theirs = ctx.Pipe()
+            inherited = [conn for _, conn in self._procs] + [ours]
+            proc = ctx.Process(target=_child_loop, args=(theirs, inherited), daemon=True)
+            proc.start()
+            theirs.close()
+            self._procs.append((proc, ours))
+        return [conn for _, conn in self._procs[:count]]
+
+    def _stop(self) -> None:
+        for proc, conn in self._procs:
+            proc.kill()
+            conn.close()
+            proc.join()
+        self._procs = []
+
+    def map(self, fn, config: ExperimentConfig, processes: int) -> list:
+        """[fn(config, w) for w in range(config.workers)]: worker w runs in
+        the caller when w % processes == 0, else in child w % processes."""
+        shares = [range(j, config.workers, processes) for j in range(processes)]
+        results = [None] * config.workers
+        with self._lock:
+            sent = []
+            for conn, share in zip(self._ready(processes - 1), shares[1:]):
+                try:
+                    conn.send((fn, config, share))
+                except OSError:  # the child died since the liveness check
+                    conn = None
+                sent.append((conn, share))
+            try:
+                for w in shares[0]:
+                    results[w] = fn(config, w)
+                for conn, share in sent:
+                    try:
+                        out = None if conn is None else conn.recv()
+                    except (EOFError, OSError):  # the child died during the call
+                        out = None
+                    if out is None:
+                        out = [fn(config, w) for w in share]
+                    if isinstance(out, Exception):
+                        raise out
+                    for w, result in zip(share, out):
+                        results[w] = result
+            except BaseException:
+                self._stop()
+                raise
+        return results
+
+
+_CHILDREN = _Children()
+
+
+def _map_workers(fn, config: ExperimentConfig) -> list:
+    """[fn(config, w) for w in range(config.workers)], in worker order, run
+    on `process_count(config)` processes: in the caller alone when that is
+    1, else the caller runs its share while forked children run the rest."""
+    processes = process_count(config)
+    if processes == 1:
+        return [fn(config, w) for w in range(config.workers)]
+    return _CHILDREN.map(fn, config, processes)
 
 
 def sample_type(group: str, n: int, rng) -> list[int]:
@@ -209,41 +347,21 @@ def sample_ngood(params: LineParams, rng) -> tuple[int, ...]:
     return types[bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)]
 
 
-def run_conditional(config: ExperimentConfig) -> SummaryStats:
-    """Draw cycle types of elements (uniform in G by `sample_type`, or
-    uniform in N_good by `sample_ngood` when config.condition == 'ngood'),
-    classify each, run the point-tracing test on uniform k-subsets (drawn
-    as bit masks by `ksets.random_kmask`), and tally family-by-outcome
-    counts.
-
-    Every tally is a class function, so no permutation is built: the cycles
-    are laid on 0..n-1 as consecutive blocks, and a uniform k-subset has
-    the same orbit length law under that layout as under any element of
-    the type.  Deterministic given (seed, workers): each logical worker
-    owns a derived stream and the reduction is commutative counting.
-    stats.cost counts the types drawn (`elements`), the k-subsets the test
-    draws (`points_traced`) and the trials rejected at their first k-subset
-    (`early_rejections`), under the keys of `Transcript.cost()`.
-
-    An Other element's order is not a multiple of m, and every orbit length
-    divides the order, so no orbit length of it is an accepted r0*m: its
-    first mask is drawn, which keeps the stream, but its orbit length is
-    never computed, and the trial counts one point traced and one early
-    rejection.  Only an N element can lie in N_good.
-    """
-    config.validate()
+def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
+    """Logical worker `worker`'s share of `run_conditional`: (contingency,
+    N_good trials, N_good accepts, points traced, early rejections)."""
     params = config.line()
     good_lengths = families.accepted_lengths(params.m, params.r)
-    stats = SummaryStats(config)
-    contingency = stats.contingency
     group, n, k, s = params.group, params.n, config.k, config.s
     ngood = config.condition == "ngood"
     classify_type, is_ngood_type = families.classify_type, families.is_ngood_type
     random_kmask, orbit_length = ksets.random_kmask, ksets.layout_orbit_length
     other, in_n = families.FAMILY_OTHER, families.FAMILY_N
     masks = range(1, config.M + 1)
-    traced = early = 0
-    for rng in _trial_rngs(config):
+    contingency = {}
+    ngood_trials = ngood_accepted = traced = early = 0
+    rng, trials = _worker_stream(config, worker)
+    for _ in range(trials):
         parts = sample_ngood(params, rng) if ngood else sample_type(group, n, rng)
         fam = classify_type(parts, params, s)
         # same accept set as capped tracing: any orbit longer than rm
@@ -261,33 +379,87 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
         key = (fam, accepted)
         contingency[key] = contingency.get(key, 0) + 1
         if fam == in_n and is_ngood_type(parts, params):
-            stats.ngood_trials += 1
-            if accepted:
-                stats.ngood_accepted += 1
+            ngood_trials += 1
+            ngood_accepted += accepted
+    return contingency, ngood_trials, ngood_accepted, traced, early
+
+
+def run_conditional(config: ExperimentConfig) -> SummaryStats:
+    """Draw cycle types of elements (uniform in G by `sample_type`, or
+    uniform in N_good by `sample_ngood` when config.condition == 'ngood'),
+    classify each, run the point-tracing test on uniform k-subsets (drawn
+    as bit masks by `ksets.random_kmask`), and tally family-by-outcome
+    counts.
+
+    Every tally is a class function, so no permutation is built: the cycles
+    are laid on 0..n-1 as consecutive blocks, and a uniform k-subset has
+    the same orbit length law under that layout as under any element of
+    the type.  Deterministic given (seed, workers): each logical worker
+    owns a derived stream (`_worker_stream`), and the workers' tallies are
+    merged in worker order, so the result, the contingency's key order
+    included, is the same on any number of processes.  The workers run on
+    `process_count(config)` processes: min(workers, usable CPUs).
+    stats.cost counts the types drawn (`elements`), the k-subsets the test
+    draws (`points_traced`) and the trials rejected at their first k-subset
+    (`early_rejections`), under the keys of `Transcript.cost()`.
+
+    An Other element's order is not a multiple of m, and every orbit length
+    divides the order, so no orbit length of it is an accepted r0*m: its
+    first mask is drawn, which keeps the stream, but its orbit length is
+    never computed, and the trial counts one point traced and one early
+    rejection.  Only an N element can lie in N_good.
+    """
+    config.validate()
+    stats = SummaryStats(config)
+    contingency = stats.contingency
+    traced = early = 0
+    for tally in _map_workers(_conditional_tally, config):
+        for key, count in tally[0].items():
+            contingency[key] = contingency.get(key, 0) + count
+        stats.ngood_trials += tally[1]
+        stats.ngood_accepted += tally[2]
+        traced += tally[3]
+        early += tally[4]
     stats.cost.update(elements=config.trials, points_traced=traced, early_rejections=early)
     return stats
+
+
+def _findmcycle_tally(config: ExperimentConfig, worker: int) -> tuple:
+    """Logical worker `worker`'s share of `run_findmcycle`: (good, bad,
+    ugly, its runs' `Transcript.cost()` summed)."""
+    params = config.line()
+    oracle = algorithms.make_testbed_oracle(params, config.k)
+    good = bad = ugly = 0
+    cost = Counter()
+    rng, trials = _worker_stream(config, worker)
+    for _ in range(trials):
+        result, transcript = algorithms.find_m_cycle(params, config.eps, config.M, oracle, rng)
+        cost.update(transcript.cost())
+        if result is algorithms.FAIL:
+            ugly += 1
+        elif families.in_N(oracle.natural(result), params):
+            good += 1
+        else:
+            bad += 1
+    return good, bad, ugly, cost
 
 
 def run_findmcycle(config: ExperimentConfig) -> SummaryStats:
     """Repeat the full detection loop config.trials times; label each run
     good (returned element has an m-cycle), bad (it does not), or ugly
     (no element returned).  stats.cost sums each run's `Transcript.cost()`.
+    The runs split over logical workers and processes as in
+    `run_conditional`, with the same result on any number of processes.
     The detector draws from all of G, so condition 'ngood' is refused."""
     config.validate()
     if config.condition != "none":
         raise ValueError(f"run_findmcycle takes condition 'none', got {config.condition!r}")
-    params = config.line()
-    oracle = algorithms.make_testbed_oracle(params, config.k)
     stats = SummaryStats(config)
-    for rng in _trial_rngs(config):
-        result, transcript = algorithms.find_m_cycle(params, config.eps, config.M, oracle, rng)
-        stats.cost.update(transcript.cost())
-        if result is algorithms.FAIL:
-            stats.ugly += 1
-        elif families.in_N(oracle.natural(result), params):
-            stats.good += 1
-        else:
-            stats.bad += 1
+    for good, bad, ugly, cost in _map_workers(_findmcycle_tally, config):
+        stats.good += good
+        stats.bad += bad
+        stats.ugly += ugly
+        stats.cost.update(cost)
     return stats
 
 

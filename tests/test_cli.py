@@ -140,20 +140,34 @@ class TestExperimentCost:
 class TestWallTime:
     ARGS = ["--group", "sym", "--n", "20", "--goal", "long-cycle", "--k", "2", "--seed", "3"]
 
+    def wall(self, argv):
+        code, out = run(argv + self.ARGS)
+        assert code == 0
+        lines = out.splitlines()
+        (at,) = [i for i, x in enumerate(lines) if x.startswith("# wall: ")]
+        assert lines[at - 1].startswith("# cost: ")
+        return json.loads(lines[at][len("# wall: "):])
+
     @pytest.mark.parametrize("argv, per", [
         (["find-mcycle", "--eps", "0.3"], "us_per_element"),
         (["experiment", "--trials", "40"], "us_per_trial"),
         (["experiment", "--trials", "4", "--eps", "0.3", "--mode", "findmcycle"], "us_per_trial"),
     ])
     def test_wall_line_follows_cost(self, argv, per):
-        code, out = run(argv + self.ARGS)
-        assert code == 0
-        lines = out.splitlines()
-        (at,) = [i for i, x in enumerate(lines) if x.startswith("# wall: ")]
-        assert lines[at - 1].startswith("# cost: ")
-        wall = json.loads(lines[at][len("# wall: "):])
-        assert set(wall) == {"seconds", per}
-        assert all(isinstance(v, float) and v > 0 for v in wall.values())
+        wall = self.wall(argv)
+        experiment = argv[0] == "experiment"
+        assert set(wall) == {"seconds", per} | ({"processes"} if experiment else set())
+        assert all(isinstance(wall[k], float) and wall[k] > 0 for k in ("seconds", per))
+        if experiment:
+            assert wall["processes"] == 1  # one worker by default
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "findmcycle", "--eps", "0.3"]])
+    @pytest.mark.parametrize("cpus, workers, processes", [(2, 3, 2), (1, 3, 1), (4, 3, 3)])
+    def test_wall_line_gives_processes(self, monkeypatch, mode, cpus, workers, processes):
+        # min(workers, usable CPUs): a parallel wall time tells itself apart
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        wall = self.wall(["experiment", "--trials", "6", "--workers", str(workers)] + mode)
+        assert wall["processes"] == processes
 
 
 class TestConfigFile:

@@ -1,9 +1,17 @@
 import dataclasses
 import hashlib
 import math
+import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
+import textwrap
+import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +139,14 @@ class TestRunConditional:
         assert st.cost == {"elements": 300, "points_traced": 4 * 300, "early_rejections": 0}
 
 
+def trial_rngs(config):
+    """Each trial's stream in trial order: worker after worker, a worker's
+    trials all reading its one stream."""
+    for worker in range(config.workers):
+        rng, trials = montecarlo._worker_stream(config, worker)
+        yield from [rng] * trials
+
+
 def first_admissible(line, start):
     """The line's params at its least admissible n >= start."""
     n = start
@@ -150,7 +166,7 @@ def reference_conditional(config):
     good_lengths = families.accepted_lengths(params.m, params.r)
     contingency = {}
     ngood_trials = ngood_accepted = traced = early = 0
-    for rng in montecarlo._trial_rngs(config):
+    for rng in trial_rngs(config):
         if config.condition == "ngood":
             parts = montecarlo.sample_ngood(params, rng)
         else:
@@ -206,6 +222,7 @@ class TestOtherRejectedUnread:
     def test_tallies_match_the_reading_loop(self, line, condition):
         # same contingency, N_good tallies and cost as the loop that reads
         # every orbit length, on both mask draw paths and 1 or 2 workers
+        # (on two processes where two CPUs are usable)
         for start in (24, 100):
             lp = first_admissible(line, start)
             for k in (2, lp.n // 2):
@@ -214,7 +231,10 @@ class TestOtherRejectedUnread:
                                  trials=1000, seed=line, workers=workers)
                     st = montecarlo.run_conditional(config)
                     got = (st.contingency, st.ngood_trials, st.ngood_accepted, st.cost)
-                    assert got == reference_conditional(config), (lp.n, k, workers)
+                    expected = reference_conditional(config)
+                    assert got == expected, (lp.n, k, workers)
+                    # the one-stream-after-another loop's key order, too
+                    assert list(st.contingency) == list(expected[0]), (lp.n, k, workers)
 
 
 class GetrandbitsOnly:
@@ -239,12 +259,26 @@ class TestGetrandbitsContract:
             assert got == [montecarlo.sample_type(group, n, b) for _ in range(30)]
         config = cfg(n=60, k=2, trials=400, seed=8, workers=2)
         expected = montecarlo.run_conditional(config)
-        streams = montecarlo._trial_rngs
-        monkeypatch.setattr(montecarlo, "_trial_rngs",
-                            lambda config: map(GetrandbitsOnly, streams(config)))
+        # in process, where a patch is seen: a forked child runs its own copy
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        streams, reads = montecarlo._worker_stream, Counter()
+
+        def getrandbits_only(config, worker):
+            rng, trials = streams(config, worker)
+            only = GetrandbitsOnly(rng)
+
+            def counted(k):
+                reads[worker] += 1
+                return rng.getrandbits(k)
+
+            only.getrandbits = counted
+            return only, trials
+
+        monkeypatch.setattr(montecarlo, "_worker_stream", getrandbits_only)
         st = montecarlo.run_conditional(config)
         assert (st.contingency, st.ngood_trials, st.cost) == (
             expected.contingency, expected.ngood_trials, expected.cost)
+        assert set(reads) == {0, 1}  # both workers drew from the patched streams
 
     def test_ksubset_draw_reads_only_getrandbits(self):
         # the oracle's point draw on both of sample's paths, with the points
@@ -291,7 +325,7 @@ class TestRunFindMCycle:
         st = montecarlo.run_findmcycle(config)
         lp = config.line()
         expected = Counter()
-        for rng in montecarlo._trial_rngs(config):
+        for rng in trial_rngs(config):
             _, transcript = algorithms.find_m_cycle(
                 lp, 0.3, config.M, algorithms.make_testbed_oracle(lp, k), rng)
             expected.update(transcript.cost())
@@ -314,10 +348,150 @@ class TestTrialRngs:
         # 7 trials over 3 workers split 3, 2, 2; each trial's stream is its
         # worker's, shared by that worker's trials in order.  The first
         # getrandbits(32) of each trial pins the seeding and the split.
-        words = [rng.getrandbits(32) for rng in
-                 montecarlo._trial_rngs(cfg(trials=7, workers=3, seed=4))]
+        words = [rng.getrandbits(32) for rng in trial_rngs(cfg(trials=7, workers=3, seed=4))]
         assert words == [3945360103, 410998922, 440687906, 1140401488,
                          3521205676, 1195052910, 438311592]
+
+
+def in_process_and_pooled(monkeypatch, run, config):
+    """run(config) on the in-process path (one usable CPU) and on three
+    processes' worth of CPUs, so that workers=3 runs two children."""
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+    serial = run(config)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    pooled = run(config)
+    return serial, pooled
+
+
+def die_in_a_child(config, worker):
+    """The worker's index, or, in a forked child, the death of that child."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return worker
+
+
+def raise_in_a_child(config, worker):
+    """The worker's index, or, in a forked child, a ValueError naming it."""
+    if multiprocessing.parent_process() is not None:
+        raise ValueError(f"worker {worker}")
+    return worker
+
+
+def running(pid):
+    """Whether pid is a live process; a zombie, which has exited and waits
+    only to be reaped, is not one."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestProcesses:
+    """The logical workers run on min(workers, usable CPUs) processes with
+    the tallies of the in-process path; the children are replaced when they
+    die and outlive neither a normal exit nor a killed parent."""
+
+    @pytest.mark.parametrize("mode", ["none", "ngood", "findmcycle"])
+    @pytest.mark.parametrize("line", range(1, 10))
+    def test_pooled_equals_in_process(self, monkeypatch, line, mode):
+        lp = first_admissible(line, 16)
+        goal = families.LINES[line][1]
+        if mode == "findmcycle":
+            base = dict(mode=mode, k=2, trials=7, eps=0.3)
+            run = montecarlo.run_findmcycle
+        else:
+            base = dict(condition=mode, k=3, trials=301)
+            run = montecarlo.run_conditional
+        for workers in (2, 3):
+            config = cfg(group=lp.group, n=lp.n, goal=goal, seed=line, workers=workers, **base)
+            serial, pooled = in_process_and_pooled(monkeypatch, run, config)
+            assert montecarlo.process_count(config) == workers
+            assert len(multiprocessing.active_children()) >= workers - 1
+            assert pooled == serial
+            assert list(pooled.contingency.items()) == list(serial.contingency.items())
+            assert list(pooled.cost.items()) == list(serial.cost.items())
+
+    def test_process_count(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        assert [montecarlo.process_count(cfg(workers=w)) for w in (1, 2, 5)] == [1, 2, 2]
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        assert montecarlo.process_count(cfg(workers=5)) == 1
+
+    def test_daemonic_caller_runs_in_process(self, monkeypatch):
+        # a multiprocessing pool's worker is daemonic and may start no child
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        config = cfg(n=40, k=2, trials=300, seed=2, workers=2)
+        pooled = montecarlo.run_conditional(config)
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        monkeypatch.setattr(montecarlo, "_CHILDREN", None)  # any use of the children fails
+        assert montecarlo.process_count(config) == 1
+        assert montecarlo.run_conditional(config) == pooled
+
+    def test_killed_child_replaced(self, monkeypatch):
+        # a child killed between two calls is replaced, and the second call
+        # still returns the in-process result
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        config = cfg(n=60, k=2, trials=600, seed=3, workers=2)
+        first = montecarlo.run_conditional(config)
+        (child, _), = montecarlo._CHILDREN._procs[:1]
+        os.kill(child.pid, signal.SIGKILL)
+        child.join(timeout=10)
+        assert child.exitcode == -signal.SIGKILL
+        assert montecarlo.run_conditional(config) == first
+        (replacement, _), = montecarlo._CHILDREN._procs[:1]
+        assert replacement.pid != child.pid and replacement.is_alive()
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        assert montecarlo.run_conditional(config) == first
+
+    def test_child_dying_during_a_call(self):
+        # the dead child's share runs in the caller, and the call returns
+        config = cfg(trials=10, workers=3)
+        assert montecarlo._CHILDREN.map(die_in_a_child, config, 3) == [0, 1, 2]
+        assert montecarlo._CHILDREN.map(die_in_a_child, config, 3) == [0, 1, 2]
+
+    def test_child_exception_raised_in_caller(self):
+        # the children are stopped, as a reply may still be in flight, and
+        # the next call starts new ones
+        config = cfg(trials=10, workers=3)
+        with pytest.raises(ValueError, match="worker 1"):
+            montecarlo._CHILDREN.map(raise_in_a_child, config, 3)
+        assert montecarlo._CHILDREN._procs == []
+        assert montecarlo._CHILDREN.map(die_in_a_child, config, 3) == [0, 1, 2]
+
+    @pytest.mark.parametrize("ending", ["exit", "kill"])
+    def test_no_child_outlives_its_parent(self, ending):
+        # importing the library and the in-process path start no process and
+        # leave multiprocessing unimported; the children end when the parent
+        # exits, or is killed, at once
+        script = textwrap.dedent(f"""
+            import os, signal, sys
+            from ksettrace import cli, montecarlo
+            from ksettrace.montecarlo import ExperimentConfig
+            config = ExperimentConfig(group="Sym", n=60, goal="long-cycle", k=2,
+                                      trials=300, seed=1, workers=3)
+            montecarlo._usable_cpus = lambda: 1
+            montecarlo.run_conditional(config)
+            print("multiprocessing" in sys.modules, flush=True)
+            montecarlo._usable_cpus = lambda: 3
+            montecarlo.run_conditional(config)
+            import multiprocessing
+            print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+            if {ending!r} == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+        """)
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == (0 if ending == "exit" else -signal.SIGKILL), proc.stderr
+        imported, pids = proc.stdout.splitlines()
+        assert imported == "False"
+        pids = [int(pid) for pid in pids.split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
 
 
 class TestSampleNgood:
