@@ -52,8 +52,7 @@ class TestbedOracle(GroupOracle):
 
     def __init__(self, params: LineParams, k: int):
         n = params.n
-        if not 2 <= k <= n // 2:
-            raise ValueError(f"need 2 <= k <= n/2, got k={k}, n={n}")
+        check_k(k, n)
         self.params = params
         self.n = n
         self.k = k
@@ -186,6 +185,12 @@ def trace_cycle(
 def trial_budget(n: int, eps: float) -> int:
     """N = ceil(5 n ln(2/eps)), the maximum number of elements inspected."""
     return math.ceil(5 * n * math.log(2 / eps))
+
+
+def check_k(k: int, n: int) -> None:
+    """The testbed's k-subset size check: 2 <= k <= n/2."""
+    if not 2 <= k <= n // 2:
+        raise ValueError(f"need 2 <= k <= n/2, got k={k}, n={n}")
 
 
 def check_detector_args(eps: float, M: int) -> None:

@@ -5,6 +5,7 @@ exact small-v cycle-structure proportions, and CSV report emission.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -15,7 +16,7 @@ import random
 import threading
 from bisect import bisect
 from collections import Counter
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, islice
 from typing import Iterable
@@ -33,7 +34,9 @@ class ExperimentConfig:
     The trials split over `workers` logical workers, each with its own
     seeded stream, so the tallies depend on (seed, workers).  A harness
     runs the workers on min(workers, usable CPUs) processes
-    (`process_count`), with the same tallies on any number of them."""
+    (`process_count`), with the same tallies on any number of them.
+    `mode` picks the CLI's harness only: each harness checks a config as
+    its own mode, whatever the field holds."""
 
     group: str
     n: int
@@ -59,12 +62,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Raise ValueError on a bad value or combination of values: the
         line must exist, k, M, trials and workers lie in range, s in
-        (1/2, 1), the detector's eps and M hold in findmcycle mode, and
-        the ngood condition applies to conditional mode only."""
+        (1/2, 1), and in findmcycle mode the detector's eps and M hold and
+        the condition is 'none'."""
         self.line()
         families.check_s(self.s)
-        if not 2 <= self.k <= self.n // 2:
-            raise ValueError(f"need 2 <= k <= n/2, got k={self.k}, n={self.n}")
+        algorithms.check_k(self.k, self.n)
         if self.M < 1:
             raise ValueError("M must be >= 1")
         if self.trials < 1:
@@ -73,12 +75,13 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.mode not in ("conditional", "findmcycle"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "findmcycle":
-            algorithms.check_detector_args(self.eps, self.M)
         if self.condition not in ("none", "ngood"):
             raise ValueError(f"unknown condition {self.condition!r}")
-        if self.condition == "ngood" and self.mode != "conditional":
-            raise ValueError(f"condition 'ngood' needs mode 'conditional', got {self.mode!r}")
+        if self.mode == "findmcycle":
+            algorithms.check_detector_args(self.eps, self.M)
+            if self.condition != "none":
+                raise ValueError("mode 'findmcycle' takes condition 'none', "
+                                 f"got condition {self.condition!r}")
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -215,40 +218,15 @@ def _child_loop(conn, inherited) -> None:
 class _Children:
     """Persistent forked children that run shares of a call's logical
     workers, started on the first call that needs them (never at import)
-    and reused by every later call.  A lock serialises calls.  A child
-    found dead is replaced, and a share whose child dies during a call runs
-    in the caller.  A call that raises stops every child, since replies may
-    still be in flight; the next call starts new ones."""
+    and reused by every later call.  A lock serialises calls.  A child is
+    found dead only at its pipe: its share then runs in the caller.  A call
+    in which a child died, or that raises, stops every child, since replies
+    may still be in flight; the next call starts new ones."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._pid = None
         self._procs = []  # (process, our end of its pipe)
-
-    def _ready(self, count: int) -> list:
-        """Our ends of the pipes of `count` live children."""
-        import multiprocessing
-
-        if self._pid != os.getpid():  # a fork of the process that started them
-            for _, conn in self._procs:
-                conn.close()
-            self._procs, self._pid = [], os.getpid()
-        live = []
-        for proc, conn in self._procs:
-            if proc.is_alive():
-                live.append((proc, conn))
-            else:
-                conn.close()
-        self._procs = live
-        ctx = multiprocessing.get_context("fork")
-        while len(self._procs) < count:
-            ours, theirs = ctx.Pipe()
-            inherited = [conn for _, conn in self._procs] + [ours]
-            proc = ctx.Process(target=_child_loop, args=(theirs, inherited), daemon=True)
-            proc.start()
-            theirs.close()
-            self._procs.append((proc, ours))
-        return [conn for _, conn in self._procs[:count]]
 
     def _stop(self) -> None:
         for proc, conn in self._procs:
@@ -260,25 +238,35 @@ class _Children:
     def map(self, fn, config: ExperimentConfig, processes: int) -> list:
         """[fn(config, w) for w in range(config.workers)]: worker w runs in
         the caller when w % processes == 0, else in child w % processes."""
+        import multiprocessing
+
         shares = [range(j, config.workers, processes) for j in range(processes)]
         results = [None] * config.workers
         with self._lock:
-            sent = []
-            for conn, share in zip(self._ready(processes - 1), shares[1:]):
-                try:
-                    conn.send((fn, config, share))
-                except OSError:  # the child died since the liveness check
-                    conn = None
-                sent.append((conn, share))
+            if self._pid != os.getpid():  # a fork of the process that started them
+                for _, conn in self._procs:
+                    conn.close()
+                self._procs, self._pid = [], os.getpid()
+            ctx = multiprocessing.get_context("fork")
+            while len(self._procs) < processes - 1:
+                ours, theirs = ctx.Pipe()
+                inherited = [conn for _, conn in self._procs] + [ours]
+                proc = ctx.Process(target=_child_loop, args=(theirs, inherited), daemon=True)
+                proc.start()
+                theirs.close()
+                self._procs.append((proc, ours))
+            died = False
             try:
+                for (_, conn), share in zip(self._procs, shares[1:]):
+                    with contextlib.suppress(OSError):  # the recv below fails too
+                        conn.send((fn, config, share))
                 for w in shares[0]:
                     results[w] = fn(config, w)
-                for conn, share in sent:
+                for (_, conn), share in zip(self._procs, shares[1:]):
                     try:
-                        out = None if conn is None else conn.recv()
-                    except (EOFError, OSError):  # the child died during the call
-                        out = None
-                    if out is None:
+                        out = conn.recv()
+                    except (EOFError, OSError):  # the child died
+                        died = True
                         out = [fn(config, w) for w in share]
                     if isinstance(out, Exception):
                         raise out
@@ -287,6 +275,8 @@ class _Children:
             except BaseException:
                 self._stop()
                 raise
+            if died:
+                self._stop()
         return results
 
 
@@ -399,6 +389,8 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     merged in worker order, so the result, the contingency's key order
     included, is the same on any number of processes.  The workers run on
     `process_count(config)` processes: min(workers, usable CPUs).
+    The config is checked as a conditional-mode one: its `mode` field,
+    which picks the CLI's harness, is not read.
     stats.cost counts the types drawn (`elements`), the k-subsets the test
     draws (`points_traced`) and the trials rejected at their first k-subset
     (`early_rejections`), under the keys of `Transcript.cost()`.
@@ -409,7 +401,7 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     never computed, and the trial counts one point traced and one early
     rejection.  Only an N element can lie in N_good.
     """
-    config.validate()
+    replace(config, mode="conditional").validate()
     stats = SummaryStats(config)
     contingency = stats.contingency
     traced = early = 0
@@ -450,10 +442,10 @@ def run_findmcycle(config: ExperimentConfig) -> SummaryStats:
     (no element returned).  stats.cost sums each run's `Transcript.cost()`.
     The runs split over logical workers and processes as in
     `run_conditional`, with the same result on any number of processes.
-    The detector draws from all of G, so condition 'ngood' is refused."""
-    config.validate()
-    if config.condition != "none":
-        raise ValueError(f"run_findmcycle takes condition 'none', got {config.condition!r}")
+    The config is checked as a findmcycle-mode one, whatever its `mode`
+    field holds, so a bad eps or M, or condition 'ngood' (the detector
+    draws from all of G), is refused before any child starts."""
+    replace(config, mode="findmcycle").validate()
     stats = SummaryStats(config)
     for good, bad, ugly, cost in _map_workers(_findmcycle_tally, config):
         stats.good += good

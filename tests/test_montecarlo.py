@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from collections import Counter
 from fractions import Fraction
@@ -137,6 +138,14 @@ class TestRunConditional:
         st = montecarlo.run_conditional(cfg(n=200, k=100, condition="ngood", trials=300, seed=6))
         assert st.contingency == {(families.FAMILY_N, True): 300}
         assert st.cost == {"elements": 300, "points_traced": 4 * 300, "early_rejections": 0}
+
+    def test_mode_field_not_read(self):
+        # the harness checks a config as a conditional one: a findmcycle
+        # config's M below the detector's 4 and its ngood condition are run
+        for kw in (dict(M=2), dict(condition="ngood")):
+            config = cfg(n=40, k=2, trials=300, seed=4, **kw)
+            assert (montecarlo.run_conditional(dataclasses.replace(config, mode="findmcycle"))
+                    .contingency == montecarlo.run_conditional(config).contingency)
 
 
 def trial_rngs(config):
@@ -389,8 +398,9 @@ def running(pid):
 
 class TestProcesses:
     """The logical workers run on min(workers, usable CPUs) processes with
-    the tallies of the in-process path; the children are replaced when they
-    die and outlive neither a normal exit nor a killed parent."""
+    the tallies of the in-process path; a dead child's share runs in the
+    caller, a call that met a dead child stops them all, and the children
+    outlive neither a normal exit nor a killed parent."""
 
     @pytest.mark.parametrize("mode", ["none", "ngood", "findmcycle"])
     @pytest.mark.parametrize("line", range(1, 10))
@@ -429,8 +439,9 @@ class TestProcesses:
         assert montecarlo.run_conditional(config) == pooled
 
     def test_killed_child_replaced(self, monkeypatch):
-        # a child killed between two calls is replaced, and the second call
-        # still returns the in-process result
+        # a child killed between two calls is found dead at its pipe: the
+        # second call runs its share in the caller and stops the children,
+        # the third starts a replacement, and each returns the in-process result
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         config = cfg(n=60, k=2, trials=600, seed=3, workers=2)
         first = montecarlo.run_conditional(config)
@@ -438,6 +449,8 @@ class TestProcesses:
         os.kill(child.pid, signal.SIGKILL)
         child.join(timeout=10)
         assert child.exitcode == -signal.SIGKILL
+        assert montecarlo.run_conditional(config) == first
+        assert montecarlo._CHILDREN._procs == []
         assert montecarlo.run_conditional(config) == first
         (replacement, _), = montecarlo._CHILDREN._procs[:1]
         assert replacement.pid != child.pid and replacement.is_alive()
@@ -458,6 +471,68 @@ class TestProcesses:
             montecarlo._CHILDREN.map(raise_in_a_child, config, 3)
         assert montecarlo._CHILDREN._procs == []
         assert montecarlo._CHILDREN.map(die_in_a_child, config, 3) == [0, 1, 2]
+
+    def test_concurrent_calls_serialised(self, monkeypatch):
+        # two threads share the children one call at a time, so each gets
+        # its own cell's in-process result, never the other's reply
+        configs = [cfg(n=60, k=2, trials=400, seed=seed, workers=2) for seed in (5, 6)]
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        serial = [montecarlo.run_conditional(config) for config in configs]
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        got = [[], []]
+
+        def calls(i):
+            got[i] = [montecarlo.run_conditional(configs[i]) for _ in range(10)]
+
+        threads = [threading.Thread(target=calls, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert got == [[serial[0]] * 10, [serial[1]] * 10]
+
+    @pytest.mark.parametrize("bad", [dict(eps=1.5), dict(M=3)])
+    def test_detector_args_checked_before_any_child(self, monkeypatch, bad):
+        # a findmcycle run checks eps and M in every mode, the default
+        # (conditional) one included, before it reaches the children
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        config = cfg(n=40, k=2, trials=20, workers=2, **bad)
+        assert config.mode == "conditional"
+        before = {proc.pid for proc in multiprocessing.active_children()}
+        monkeypatch.setattr(montecarlo, "_CHILDREN", None)  # any use of the children fails
+        with pytest.raises(ValueError, match="eps must|M must"):
+            montecarlo.run_findmcycle(config)
+        assert {proc.pid for proc in multiprocessing.active_children()} == before
+
+    def test_forked_copy_starts_its_own_children(self):
+        # a copy made by os.fork after a pooled call starts children of its
+        # own and gets the in-process result; the original keeps its children
+        script = textwrap.dedent("""
+            import os
+            from ksettrace import montecarlo
+            from ksettrace.montecarlo import ExperimentConfig
+            config = ExperimentConfig(group="Sym", n=60, goal="long-cycle", k=2,
+                                      trials=300, seed=1, workers=3)
+            montecarlo._usable_cpus = lambda: 1
+            serial = montecarlo.run_conditional(config)
+            montecarlo._usable_cpus = lambda: 3
+            ok = montecarlo.run_conditional(config) == serial
+            ours = [proc.pid for proc, _ in montecarlo._CHILDREN._procs]
+            pid = os.fork()
+            if pid == 0:
+                ok = montecarlo.run_conditional(config) == serial
+                theirs = [proc.pid for proc, _ in montecarlo._CHILDREN._procs]
+                os._exit(0 if ok and len(theirs) == 2 and not set(theirs) & set(ours) else 1)
+            _, status = os.waitpid(pid, 0)
+            print(ok, os.waitstatus_to_exitcode(status),
+                  montecarlo.run_conditional(config) == serial,
+                  [proc.pid for proc, _ in montecarlo._CHILDREN._procs] == ours, flush=True)
+        """)
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "0", "True", "True"]
 
     @pytest.mark.parametrize("ending", ["exit", "kill"])
     def test_no_child_outlives_its_parent(self, ending):
