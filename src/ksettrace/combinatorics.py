@@ -151,14 +151,14 @@ def check_zz(d: int, k: int, t: int, a: Fraction) -> Verdict:
     return Verdict("lem:ZZ", lhs, rhs, lhs < rhs)
 
 
-def check_simple(n: int, r: int, s: Fraction, t: int = 1) -> Verdict:
+def check_simple(n: int, r: int, s: Fraction) -> Verdict:
     """lem:simple.  Hypothesis: 1/2 < s < 1 and 12 (rn)^s + 6 <= n (exact
     cross-power test).  Conclusions checked: (rn)^s/n < 1/12; n >= 156; the
-    t-shift comparison 2(rn)^s - t > ((24-t)/12)(rn)^s; n >= 1746 when s = 2/3."""
+    t-shift comparison 2(rn)^s - t > ((24-t)/12)(rn)^s, which reduces to
+    (rn)^s > 12 and so holds for every t >= 1 at once; n >= 1746 when
+    s = 2/3."""
     s = Fraction(s)
     check_s(s)
-    if t < 1:
-        raise ValueError("need t >= 1")
     if not size_hypothesis(n, r, s):
         raise ValueError(f"hypothesis 12(rn)^s + 6 <= n fails at n={n}, r={r}, s={s}")
     p, q = s.numerator, s.denominator

@@ -86,6 +86,8 @@ class ExperimentConfig:
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score 95% interval for a binomial proportion."""
+    if not 0 <= successes <= trials:
+        raise ValueError(f"need 0 <= successes <= trials, got successes={successes}, trials={trials}")
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials
@@ -152,15 +154,6 @@ class SummaryStats:
             self._count([families.FAMILY_N], True),
             self._count(families.ALL_FAMILIES, True),
         )
-
-    def q_estimates(self) -> dict:
-        """Per-family Prob(g in family and accepted)."""
-        t = self.trials
-        return {
-            fam: Estimate(self._count([fam], True), t)
-            for fam in families.ALL_FAMILIES
-            if fam != families.FAMILY_N
-        }
 
 
 def _worker_stream(config: ExperimentConfig, worker: int) -> tuple[random.Random, int]:
@@ -599,29 +592,24 @@ CSV_COLUMNS = [
     "estimate",
     "ci_lo",
     "ci_hi",
-    "bound_value",
-    "bound_asserted",
 ]
 
 
-def emit_report(stats: SummaryStats, bound_values: dict | None = None) -> str:
-    """CSV text: one row per family with its acceptance tally, Wilson CI,
-    and the matching analytic ceiling (if supplied) with its asserted flag."""
+def emit_report(stats: SummaryStats) -> str:
+    """CSV text: one row per family with a trial, giving its count of
+    accepted trials, its joint Prob(g in family and accepted) over all
+    trials, and that estimate's Wilson interval."""
     config = stats.config
     params = config.line()
-    bound_values = bound_values or {}
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     trials = stats.trials
     for fam in families.ALL_FAMILIES:
-        acc = stats._count([fam], True)
-        tot = stats._count([fam])
-        if tot == 0 and fam not in bound_values:
+        if not stats._count([fam]):
             continue
-        est = Estimate(acc, trials)  # q(fam)-style: joint with accept
+        est = Estimate(stats._count([fam], True), trials)
         lo, hi = est.ci
-        bound = bound_values.get(fam, {})
         writer.writerow(
             {
                 "config_hash": config.config_hash(),
@@ -632,13 +620,11 @@ def emit_report(stats: SummaryStats, bound_values: dict | None = None) -> str:
                 "s": str(config.s),
                 "delta": str(config.delta),
                 "family": fam,
-                "accepted_count": acc,
+                "accepted_count": est.successes,
                 "trial_count": trials,
-                "estimate": f"{est.value:.8f}" if trials else "",
+                "estimate": f"{est.value:.8f}",
                 "ci_lo": f"{lo:.8f}",
                 "ci_hi": f"{hi:.8f}",
-                "bound_value": bound.get("value", ""),
-                "bound_asserted": bound.get("asserted", ""),
             }
         )
     return out.getvalue()

@@ -61,6 +61,8 @@ class Permutation:
         images = list(range(n))
         touched = [False] * n
         for cyc in cycles:
+            if not cyc:
+                raise ValueError("empty cycle in cycles")
             for a, b in zip(cyc, tuple(cyc[1:]) + (cyc[0],)):
                 if not (0 <= a < n) or touched[a]:
                     raise ValueError(f"invalid or repeated point {a} in cycles")

@@ -115,7 +115,7 @@ def _mc_vs_exact(group, n, goal, k, trials, seed):
          Estimate((st.trials - st.ngood_trials) - (acc.successes - st.ngood_accepted),
                   st.trials - st.ngood_trials)),
         ("q", ex.q,
-         Estimate(sum(e.successes for e in st.q_estimates().values()), trials)),
+         Estimate(acc.successes - st.n_given_accept().successes, trials)),
     ]
     bad = []
     for name, exact, est in checks:

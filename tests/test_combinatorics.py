@@ -205,7 +205,7 @@ class TestInequalities:
                     p, q = s.numerator, s.denominator
                     if 12**q * (r * n) ** p > (n - 6) ** q:
                         continue  # hypothesis fails at this size
-                    assert cb.check_simple(n=n, r=r, s=s, t=5).holds
+                    assert cb.check_simple(n=n, r=r, s=s).holds
 
     def test_ns(self):
         v = cb.check_ns_a(x=Fraction(13))

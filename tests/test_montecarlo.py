@@ -51,6 +51,16 @@ class TestWilson:
         lo, hi = wilson_interval(0, 500)
         assert lo == 0 and hi > 0
 
+    @pytest.mark.parametrize("succ", [5, -1])
+    def test_impossible_counts_rejected(self, succ):
+        with pytest.raises(ValueError, match=f"successes={succ}, trials=3"):
+            wilson_interval(succ, 3)
+        with pytest.raises(ValueError, match="successes"):
+            montecarlo.Estimate(succ, 3).ci
+
+    def test_no_trials_gives_unit_interval(self):
+        assert wilson_interval(0, 0) == (0.0, 1.0)
+
 
 class TestRunConditional:
     def test_determinism_across_workers(self):
@@ -123,7 +133,7 @@ class TestRunConditional:
             ("p1", ex.p1, montecarlo.Estimate(ngood_rejected, st.ngood_trials)),
             ("p2", ex.p2, montecarlo.Estimate(rest_rejected, trials - st.ngood_trials)),
             ("q", ex.q, montecarlo.Estimate(
-                sum(e.successes for e in st.q_estimates().values()), trials)),
+                acc.successes - st.n_given_accept().successes, trials)),
         ]
         for name, exact, est in checks:
             assert abs(est.value - float(exact)) <= 4 * est.half_width, (name, exact, est)
@@ -925,14 +935,6 @@ class TestSmallV:
             with pytest.raises(ValueError, match="v must be >= 0"):
                 proportions(-1, 12, Fraction(5, 8))
 
-    def test_recursion_agreement(self):
-        for v in range(1, 13):
-            for rm in (12, 20, 30, 60):
-                for s in (Fraction(5, 8), Fraction(2, 3), Fraction(7, 10)):
-                    _, _, p1 = montecarlo.small_v_proportions(v, rm, s)
-                    rec = montecarlo.p1plus_recursion(v, rm, s)
-                    assert p1 == rec, (v, rm, s)
-
 
 class TestReport:
     def test_header_only_when_empty(self):
@@ -944,19 +946,12 @@ class TestReport:
 
     def test_roundtrip(self):
         st = montecarlo.run_conditional(cfg(trials=300, seed=4))
-        text = montecarlo.emit_report(st, {"R": {"value": 0.5, "asserted": False}})
+        text = montecarlo.emit_report(st)
         rows = montecarlo.parse_report(text)
         assert rows
         for row in rows:
             assert set(row) == set(montecarlo.CSV_COLUMNS)
             assert int(row["trial_count"]) == 300
-
-    def test_golden_regression(self):
-        st = montecarlo.run_conditional(cfg(trials=200, seed=123))
-        text1 = montecarlo.emit_report(st)
-        st2 = montecarlo.run_conditional(cfg(trials=200, seed=123))
-        text2 = montecarlo.emit_report(st2)
-        assert text1 == text2
 
 
 class TestConfig:

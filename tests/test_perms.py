@@ -46,6 +46,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             Permutation([0, 0, 1])
 
+    def test_empty_cycle_rejected(self):
+        # parse refuses "()" first; a library caller reaches this check
+        with pytest.raises(ValueError, match="empty cycle"):
+            Permutation.from_cycles(3, [[0, 1], []])
+
     def test_bool_images_rejected(self):
         for images in [[True, False], [0, True]]:
             with pytest.raises(ValueError):
