@@ -162,14 +162,21 @@ def classify_type(lengths, params: LineParams, s: Fraction) -> str:
     Delta is the union of the cycles whose length divides rm, so v is the
     sum of those lengths.  Past R (v <= 4 (rn)^s), `split_s_large` of Delta
     at threshold (rn)^s decides.  Compared exactly via integer cross-powers.
+    Checks s, then runs `_classify_type`.
     """
     check_s(s)
-    p, q = s.numerator, s.denominator
+    return _classify_type(lengths, params, s)
+
+
+def _classify_type(lengths, params: LineParams, s: Fraction) -> str:
+    """`classify_type` without its check of s, for a caller that checked s
+    once for many types."""
     m = params.m
     if m in lengths:
         return FAMILY_N
     if math.lcm(*lengths) % m != 0:
         return FAMILY_OTHER
+    p, q = s.numerator, s.denominator
     rm = params.r * m
     delta = [t for t in lengths if rm % t == 0]
     v = sum(delta)

@@ -8,7 +8,11 @@ conditional harness it is an n-bit int mask, bit x set for point x:
 `layout_orbit_length`, reads it.  Both draws read the generator through
 `rng.getrandbits` alone; `_sample_mask` is the one home of CPython's
 `rng.sample(range(n), k)` rule, which gives `random_ksubset`'s points and,
-for 3k <= n, `random_kmask`'s mask.
+for 3k <= n, `random_kmask`'s mask.  For 3k > n `random_kmask` fixes up a
+fair coin per point.  That fix-up and `sample`'s pool path read each
+point's bit from `_point_bits(n)`, the cached tuple of `1 << x` for x < n
+padded with 0 up to the 2^b words a b-bit draw can give, so in the fix-up
+a draw x >= n reads 0 and is redrawn.
 The orbit-length engine, like the counting kernel, reads a cycle type as
 its list of cycle lengths: it lays the cycles on 0..n-1 as consecutive
 blocks in that order and takes the lcm of their rotation periods, each
@@ -32,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import Sequence
 
 from .families import accepted_lengths, divisors, prime_divisors
@@ -92,10 +96,15 @@ def _rotation_period(t: int, bits: int) -> int:
     its period, and each is a multiple of step = t // gcd(|pos|, t), since a
     d-periodic set spreads evenly over the t//d shift-classes.  So for each
     prime q of t // step, divide d by q while the shift by d/q still fixes
-    the mask.
+    the mask.  When gcd(|pos|, t) = 1, as for a one-point block, step = t
+    and no proper shift can fix the mask: t is returned at once, with no
+    shift test and no prime lookup.
     """
+    common = math.gcd(bits.bit_count(), t)
+    if common == 1:
+        return t
     full = (1 << t) - 1
-    step = t // math.gcd(bits.bit_count(), t)
+    step = t // common
     d = t
     for q in prime_divisors(t // step):
         while (d // step) % q == 0:
@@ -136,6 +145,13 @@ def layout_orbit_length(mask: int, lengths: Sequence[int]) -> int:
     return result
 
 
+@functools.lru_cache(maxsize=8)  # the table for n holds about n*n/16 bytes
+def _point_bits(n: int) -> tuple[int, ...]:
+    """(1 << x for x < n), padded with 0 up to 2^b entries for b =
+    n.bit_length(), so any b-bit draw indexes it and x >= n reads 0."""
+    return tuple(1 << x for x in range(n)) + (0,) * ((1 << n.bit_length()) - n)
+
+
 def _sample_mask(n: int, k: int, getrandbits) -> int:
     """The mask of the k points of CPython's `rng.sample(range(n), k)`,
     drawn through `getrandbits` alone with the same words: a pool of the
@@ -146,13 +162,13 @@ def _sample_mask(n: int, k: int, getrandbits) -> int:
     # `sample`'s switch: a pool list while it is smaller than a k-set
     setsize = 21 + 4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 21
     if n <= setsize:
-        pool = list(range(n))
+        pool = list(_point_bits(n)[:n])  # each unchosen point as its bit
         for rest in range(n, n - k, -1):
             b = rest.bit_length()
             j = getrandbits(b)
             while j >= rest:
                 j = getrandbits(b)
-            mask |= 1 << pool[j]
+            mask |= pool[j]
             pool[j] = pool[rest - 1]
         return mask
     b = n.bit_length()
@@ -164,14 +180,22 @@ def _sample_mask(n: int, k: int, getrandbits) -> int:
     return mask
 
 
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def random_ksubset(n: int, k: int, rng) -> frozenset[int]:
     """Uniform k-subset of {0..n-1}: the points of CPython's
     `rng.sample(range(n), k)`, drawn through `rng.getrandbits` alone by
     `_sample_mask`, so seeded subsets and generator states equal that
-    call's."""
+    call's.  The points are read off the mask's binary digits when 5k > n
+    and one top bit at a time otherwise: the first costs O(n), the second
+    O(k) with a larger constant, and they cost about the same near k = n/5."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     mask = _sample_mask(n, k, rng.getrandbits)
+    if 5 * k > n:
+        # bin() writes bit 0 last: reversed, digit x flags point x
+        return frozenset(compress(range(n), bin(mask).encode()[:1:-1].translate(_DIGIT_FLAGS)))
     points = []
     while mask:
         x = mask.bit_length() - 1
@@ -189,11 +213,12 @@ def random_kmask(n: int, k: int, rng) -> int:
     call's.  Otherwise it starts from `rng.getrandbits(n)`, a fair coin per
     point, then sets uniformly drawn unset points, or clears uniformly drawn
     set points, until exactly k are set, each point drawn as `rng.randrange`
-    draws it; near k = n/2 that takes O(sqrt n) draws instead of k.  The
-    start is exchangeable and every fix-up step treats all points alike, so
-    the law of the result is invariant under Sym(n); that group is
-    transitive on k-subsets, so each is equally likely.  The two draws cost
-    about the same near k = 0.35n, hence the switch at 3k = n.
+    draws it: a b-bit word, redrawn when it is n or more, whose bit is read
+    from `_point_bits(n)`.  Near k = n/2 that takes O(sqrt n) draws instead
+    of k.  The start is exchangeable and every fix-up step treats all
+    points alike, so the law of the result is invariant under Sym(n); that
+    group is transitive on k-subsets, so each is equally likely.  The two
+    draws cost about the same near k = 0.35n, hence the switch at 3k = n.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -202,15 +227,19 @@ def random_kmask(n: int, k: int, rng) -> int:
         return _sample_mask(n, k, getrandbits)
     mask = getrandbits(n)
     count = mask.bit_count()
-    # flip drawn points whose bit is `want`: unset ones while too few are
-    # set, set ones while too many are
-    want, step = (0, 1) if count < k else (1, -1)
+    bits = _point_bits(n)
     b = n.bit_length()
-    while count != k:
-        x = getrandbits(b)
-        if x < n and mask >> x & 1 == want:
-            mask ^= 1 << x
-            count += step
+    # a draw x >= n reads bit 0: neither loop takes it
+    while count < k:
+        bit = bits[getrandbits(b)]
+        if bit and not mask & bit:
+            mask |= bit
+            count += 1
+    while count > k:
+        bit = bits[getrandbits(b)]
+        if mask & bit:
+            mask ^= bit
+            count -= 1
     return mask
 
 

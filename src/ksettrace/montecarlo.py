@@ -214,12 +214,26 @@ class _Children:
     and reused by every later call.  A lock serialises calls.  A child is
     found dead only at its pipe: its share then runs in the caller.  A call
     in which a child died, or that raises, stops every child, since replies
-    may still be in flight; the next call starts new ones."""
+    may still be in flight; the next call starts new ones.  A copy of the
+    process made by `os.fork` forgets the original's children at once, so
+    its exit leaves them running, and starts its own on its first call."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._pid = None
         self._procs = []  # (process, our end of its pipe)
+
+    def _forget(self) -> None:
+        """Drop children this process did not start: close its copies of
+        their pipes and take them off `multiprocessing`'s list of children,
+        whose exit handler would otherwise SIGTERM them when this process
+        exits."""
+        from multiprocessing import process
+
+        for proc, conn in self._procs:
+            process._children.discard(proc)
+            conn.close()
+        self._procs, self._pid = [], os.getpid()
 
     def _stop(self) -> None:
         for proc, conn in self._procs:
@@ -236,10 +250,10 @@ class _Children:
         shares = [range(j, config.workers, processes) for j in range(processes)]
         results = [None] * config.workers
         with self._lock:
-            if self._pid != os.getpid():  # a fork of the process that started them
-                for _, conn in self._procs:
-                    conn.close()
-                self._procs, self._pid = [], os.getpid()
+            if self._pid is None:  # once, before the first children start
+                os.register_at_fork(after_in_child=self._forget)
+            if self._pid != os.getpid():  # first call, or a fork that ran no at-fork hook
+                self._forget()
             ctx = multiprocessing.get_context("fork")
             while len(self._procs) < processes - 1:
                 ours, theirs = ctx.Pipe()
@@ -294,9 +308,15 @@ def sample_type(group: str, n: int, rng) -> list[int]:
 
     Each length is drawn as `rng.randrange(rest) + 1` draws it (the rule and
     rng contract of `perms.random_element`), so seeded streams equal those
-    of that call."""
+    of that call.  Checks the group and degree, then runs `_sample_type`."""
     perms.check_group(group, n)
-    getrandbits = rng.getrandbits
+    return _sample_type(group, n, rng.getrandbits)
+
+
+def _sample_type(group: str, n: int, getrandbits) -> list[int]:
+    """`sample_type` without its check of the group and degree, reading
+    the generator through its bound `getrandbits`, for a caller that checked
+    them once for many draws."""
     while True:
         parts = []
         rest = n
@@ -332,21 +352,38 @@ def sample_ngood(params: LineParams, rng) -> tuple[int, ...]:
 
 def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
     """Logical worker `worker`'s share of `run_conditional`: (contingency,
-    N_good trials, N_good accepts, points traced, early rejections)."""
+    N_good trials, N_good accepts, points traced, early rejections).
+
+    `run_conditional` has checked s, and the line gives a valid group and
+    degree, so the trials call the unchecked `_sample_type` and
+    `families._classify_type`.  In ngood mode each of the at most 11 types
+    of `_ngood_table` is classified once, family and N_good membership,
+    keyed by the table's tuple; `sample_ngood` still draws every trial."""
     params = config.line()
     good_lengths = families.accepted_lengths(params.m, params.r)
     group, n, k, s = params.group, params.n, config.k, config.s
-    ngood = config.condition == "ngood"
-    classify_type, is_ngood_type = families.classify_type, families.is_ngood_type
+    classify_type, is_ngood_type = families._classify_type, families.is_ngood_type
     random_kmask, orbit_length = ksets.random_kmask, ksets.layout_orbit_length
     other, in_n = families.FAMILY_OTHER, families.FAMILY_N
+    ngood = config.condition == "ngood"
+    if ngood:
+        known = {}
+        for parts in _ngood_table(group, n, params.m, params.r)[0]:
+            fam = classify_type(parts, params, s)
+            known[parts] = fam, fam == in_n and is_ngood_type(parts, params)
     masks = range(1, config.M + 1)
     contingency = {}
     ngood_trials = ngood_accepted = traced = early = 0
     rng, trials = _worker_stream(config, worker)
+    getrandbits = rng.getrandbits
     for _ in range(trials):
-        parts = sample_ngood(params, rng) if ngood else sample_type(group, n, rng)
-        fam = classify_type(parts, params, s)
+        if ngood:
+            parts = sample_ngood(params, rng)
+            fam, good = known[parts]
+        else:
+            parts = _sample_type(group, n, getrandbits)
+            fam = classify_type(parts, params, s)
+            good = fam == in_n and is_ngood_type(parts, params)
         # same accept set as capped tracing: any orbit longer than rm
         # cannot equal r0*m, and the exact engine is far cheaper here;
         # no mask is drawn after the first rejected one
@@ -361,7 +398,7 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
         traced += i
         key = (fam, accepted)
         contingency[key] = contingency.get(key, 0) + 1
-        if fam == in_n and is_ngood_type(parts, params):
+        if good:
             ngood_trials += 1
             ngood_accepted += accepted
     return contingency, ngood_trials, ngood_accepted, traced, early
@@ -383,7 +420,11 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     included, is the same on any number of processes.  The workers run on
     `process_count(config)` processes: min(workers, usable CPUs).
     The config is checked as a conditional-mode one: its `mode` field,
-    which picks the CLI's harness, is not read.
+    which picks the CLI's harness, is not read.  The checks run once per
+    call, not per trial: each trial draws and classifies through the
+    unchecked bodies of `sample_type` and `families.classify_type`.  In
+    ngood mode each of the at most 11 N_good types is classified once per
+    call, and a trial reads its family and N_good membership by its type.
     stats.cost counts the types drawn (`elements`), the k-subsets the test
     draws (`points_traced`) and the trials rejected at their first k-subset
     (`early_rejections`), under the keys of `Transcript.cost()`.

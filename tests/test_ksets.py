@@ -162,6 +162,14 @@ class TestRotationPeriodDescent:
             for bits in masks:
                 assert ksets._rotation_period(t, bits) == brute_rotation_period(t, bits), (t, bits)
 
+    def test_size_prime_to_t_matches_brute_force(self):
+        # the early return: every mask whose size is prime to t, a one-point
+        # block among them, has period t
+        for t in range(1, 17):
+            for bits in range(1 << t):
+                if math.gcd(bits.bit_count(), t) == 1:
+                    assert ksets._rotation_period(t, bits) == brute_rotation_period(t, bits) == t
+
     def test_empty_and_full_give_one(self):
         for t in range(1, 65):
             assert ksets._rotation_period(t, 0) == 1
@@ -277,7 +285,10 @@ class TestRandomKMask:
             assert mask_points(ksets.random_kmask(n, k, a), n) == frozenset(b.sample(range(n), k))
         assert a.getstate() == b.getstate()
 
-    @pytest.mark.parametrize("n, k", [(3, 2), (6, 3), (8, 7), (13, 6), (200, 100), (201, 100)])
+    @pytest.mark.parametrize("n, k", [(3, 2), (6, 3), (8, 7), (13, 6), (200, 100), (201, 100),
+                                      # n just past a power of two: most words
+                                      # are >= n and read the table's padding
+                                      (129, 64), (129, 128), (257, 128), (257, 256)])
     def test_fixup_stream_matches_randrange(self, n, k):
         # for 3k > n the fix-up as first written, through rng.randrange:
         # same masks and the same generator state after them

@@ -544,6 +544,39 @@ class TestProcesses:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True", "0", "True", "True"]
 
+    def test_forked_copy_exit_leaves_the_children(self):
+        # a copy made by os.fork after a pooled call, and exiting normally,
+        # leaves the original's children running, and the original's next
+        # call reuses them: the copy's multiprocessing exit handler would
+        # otherwise SIGTERM every child on its inherited list
+        script = textwrap.dedent("""
+            import os, sys
+            from ksettrace import montecarlo
+            from ksettrace.montecarlo import ExperimentConfig
+            config = ExperimentConfig(group="Sym", n=60, goal="long-cycle", k=2,
+                                      trials=300, seed=1, workers=2)
+            montecarlo._usable_cpus = lambda: 2
+            first = montecarlo.run_conditional(config)
+            children = [proc for proc, _ in montecarlo._CHILDREN._procs]
+            pid = os.fork()
+            if pid == 0:
+                sys.exit(0)
+            _, status = os.waitpid(pid, 0)
+            for proc in children:
+                proc.join(timeout=0.5)  # returns at once if the copy killed it
+            print(os.waitstatus_to_exitcode(status), len(children),
+                  all(proc.is_alive() for proc in children),
+                  montecarlo.run_conditional(config) == first,
+                  [proc.pid for proc, _ in montecarlo._CHILDREN._procs]
+                  == [proc.pid for proc in children], flush=True)
+        """)
+        src = str(Path(montecarlo.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1", "True", "True", "True"], proc.stderr
+        assert "can only join a child process" not in proc.stderr
+
     @pytest.mark.parametrize("ending", ["exit", "kill"])
     def test_no_child_outlives_its_parent(self, ending):
         # importing the library and the in-process path start no process and
@@ -639,6 +672,18 @@ class TestSampleNgood:
                 assert got == [self.uncached_sample_ngood(lp, b) for _ in range(50)]
                 assert a.getstate() == b.getstate()
         assert cells == 132
+
+    @pytest.mark.parametrize("line", range(1, 10))
+    def test_table_types_are_n_and_ngood(self, line):
+        # the conditional harness classifies each N_good type once per call
+        # and reuses the answer for every trial that draws it
+        for start in (24, 100):
+            lp = first_admissible(line, start)
+            types = montecarlo._ngood_table(lp.group, lp.n, lp.m, lp.r)[0]
+            assert types
+            for parts in types:
+                assert families.classify_type(parts, lp, Fraction(5, 8)) == families.FAMILY_N
+                assert families.is_ngood_type(parts, lp)
 
 
 class TestSampleType:
