@@ -358,7 +358,9 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
     degree, so the trials call the unchecked `_sample_type` and
     `families._classify_type`.  In ngood mode each of the at most 11 types
     of `_ngood_table` is classified once, family and N_good membership,
-    keyed by the table's tuple; `sample_ngood` still draws every trial."""
+    keyed by the table's tuple; `sample_ngood` still draws every trial.
+    An Other trial draws no mask: it is tallied as rejected at its first
+    point, so the stream goes on to the next trial's type."""
     params = config.line()
     good_lengths = families.accepted_lengths(params.m, params.r)
     group, n, k, s = params.group, params.n, config.k, config.s
@@ -384,18 +386,23 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
             parts = _sample_type(group, n, getrandbits)
             fam = classify_type(parts, params, s)
             good = fam == in_n and is_ngood_type(parts, params)
-        # same accept set as capped tracing: any orbit longer than rm
-        # cannot equal r0*m, and the exact engine is far cheaper here;
-        # no mask is drawn after the first rejected one
-        accepted = True
-        for i in masks:
-            # drawn before the Other test, so an Other trial keeps the stream
-            mask = random_kmask(n, k, rng)
-            if fam == other or orbit_length(mask, parts) not in good_lengths:
-                accepted = False
-                early += i == 1
-                break
-        traced += i
+        if fam == other:
+            # no orbit length of it is a multiple of m, so the test rejects
+            # it at its first point: counted so, with no mask drawn
+            accepted = False
+            traced += 1
+            early += 1
+        else:
+            # same accept set as capped tracing: any orbit longer than rm
+            # cannot equal r0*m, and the exact engine is far cheaper here;
+            # no mask is drawn after the first rejected one
+            accepted = True
+            for i in masks:
+                if orbit_length(random_kmask(n, k, rng), parts) not in good_lengths:
+                    accepted = False
+                    early += i == 1
+                    break
+            traced += i
         key = (fam, accepted)
         contingency[key] = contingency.get(key, 0) + 1
         if good:
@@ -425,15 +432,17 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     unchecked bodies of `sample_type` and `families.classify_type`.  In
     ngood mode each of the at most 11 N_good types is classified once per
     call, and a trial reads its family and N_good membership by its type.
-    stats.cost counts the types drawn (`elements`), the k-subsets the test
-    draws (`points_traced`) and the trials rejected at their first k-subset
-    (`early_rejections`), under the keys of `Transcript.cost()`.
+    stats.cost counts the types drawn (`elements`), the points the test
+    traces (`points_traced`; an Other trial counts the one point whose trace
+    would reject it, though no subset is drawn) and the trials rejected at
+    their first point (`early_rejections`), under the keys of
+    `Transcript.cost()`.
 
     An Other element's order is not a multiple of m, and every orbit length
-    divides the order, so no orbit length of it is an accepted r0*m: its
-    first mask is drawn, which keeps the stream, but its orbit length is
-    never computed, and the trial counts one point traced and one early
-    rejection.  Only an N element can lie in N_good.
+    divides the order, so no orbit length of it is an accepted r0*m: no
+    k-subset is drawn for it, and the trial counts one point traced and one
+    early rejection, what the black-box test pays to reject it at its first
+    point.  Only an N element can lie in N_good.
     """
     replace(config, mode="conditional").validate()
     stats = SummaryStats(config)

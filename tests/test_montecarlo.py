@@ -89,11 +89,11 @@ class TestRunConditional:
     @pytest.mark.parametrize(
         "line, n, k, condition, contingency, ngood_trials, ngood_accepted, cost", [
             # uniform draws through the rng.sample mask path (3k <= n)
-            (1, 100, 2, "none", {("N", False): 1, ("N", True): 20, ("Other", False): 1885,
-                                 ("R", False): 91, ("Sge2", False): 3}, 21, 20, (2064, 1977)),
+            (1, 100, 2, "none", {("N", False): 1, ("N", True): 25, ("Other", False): 1889,
+                                 ("R", False): 83, ("Sge2", False): 2}, 26, 25, (2077, 1973)),
             # the 3k > n fix-up path, with Alt's type redraws
-            (4, 21, 10, "none", {("N", True): 167, ("Other", False): 1585, ("R", False): 244,
-                                 ("R", True): 4}, 167, 167, (2520, 1824)),
+            (4, 21, 10, "none", {("N", True): 198, ("Other", False): 1548, ("R", False): 252,
+                                 ("R", True): 2}, 198, 198, (2610, 1792)),
             # conditioned on N_good, with a few rejected trials
             (2, 17, 8, "ngood", {("N", False): 3, ("N", True): 1997}, 2000, 1997, (7993, 1)),
             (6, 20, 3, "ngood", {("N", False): 12, ("N", True): 1988}, 2000, 1988, (7986, 2)),
@@ -178,8 +178,10 @@ def first_admissible(line, start):
 
 def reference_conditional(config):
     """(contingency, ngood_trials, ngood_accepted, cost) of the conditional
-    trial loop with no shortcut: every drawn mask's orbit length computed,
-    Other elements included, and `is_ngood_type` asked of every trial."""
+    trial loop with no shortcut but the Other one: an Other trial draws no
+    mask and counts one point traced and one early rejection, every drawn
+    mask's orbit length is computed, and `is_ngood_type` is asked of every
+    trial."""
     params = config.line()
     n, k = params.n, config.k
     good_lengths = families.accepted_lengths(params.m, params.r)
@@ -191,13 +193,17 @@ def reference_conditional(config):
         else:
             parts = montecarlo.sample_type(params.group, n, rng)
         fam = families.classify_type(parts, params, config.s)
-        accepted = True
-        for i in range(1, config.M + 1):
-            if ksets.layout_orbit_length(ksets.random_kmask(n, k, rng), parts) not in good_lengths:
-                accepted = False
-                early += i == 1
-                break
+        if fam == families.FAMILY_OTHER:
+            # no mask drawn: exact by test_other_orbit_lengths_never_accepted
+            accepted, i = False, 1
+        else:
+            accepted = True
+            for i in range(1, config.M + 1):
+                if ksets.layout_orbit_length(ksets.random_kmask(n, k, rng), parts) not in good_lengths:
+                    accepted = False
+                    break
         traced += i
+        early += not accepted and i == 1
         contingency[fam, accepted] = contingency.get((fam, accepted), 0) + 1
         if families.is_ngood_type(parts, params):
             ngood_trials += 1
@@ -207,9 +213,9 @@ def reference_conditional(config):
 
 
 class TestOtherRejectedUnread:
-    """`run_conditional` rejects an Other element at its first mask without
-    computing that mask's orbit length: the slow path it replaces, checked
-    on all nine lines."""
+    """`run_conditional` rejects an Other element at its first point without
+    drawing a mask: exact, since no mask of it has an accepted orbit length,
+    and checked against the reading loop on all nine lines."""
 
     @pytest.mark.parametrize("line", range(1, 10))
     def test_other_orbit_lengths_never_accepted(self, line):
@@ -240,8 +246,8 @@ class TestOtherRejectedUnread:
     @pytest.mark.parametrize("line", range(1, 10))
     def test_tallies_match_the_reading_loop(self, line, condition):
         # same contingency, N_good tallies and cost as the loop that reads
-        # every orbit length, on both mask draw paths and 1 or 2 workers
-        # (on two processes where two CPUs are usable)
+        # every drawn mask's orbit length, on both mask draw paths and 1 or
+        # 2 workers (on two processes where two CPUs are usable)
         for start in (24, 100):
             lp = first_admissible(line, start)
             for k in (2, lp.n // 2):

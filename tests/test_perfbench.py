@@ -34,7 +34,7 @@ def test_workload_builds(bench, name):
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("conditional-uniform", "3ea14c299f73bf9e"),
+    ("conditional-uniform", "e665ca5954ed2cac"),
     ("conditional-ngood", "d544b4ef3c7d55a4"),
     ("detect", "157a1b92d923e94c"),
     ("exact", "696765039ff08009"),
