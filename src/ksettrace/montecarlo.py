@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import astuple, dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate, islice
+from types import MappingProxyType
 from typing import Iterable
 
 from . import algorithms, families, ksets, perms
@@ -350,30 +351,51 @@ def sample_ngood(params: LineParams, rng) -> tuple[int, ...]:
     return types[bisect(cum, rng.random() * cum[-1], 0, len(cum) - 1)]
 
 
+@functools.cache
+def _ngood_outcomes(params: LineParams, k: int, s: Fraction) -> MappingProxyType:
+    """Each type of `_ngood_table` -> (family, N_good membership, forced
+    outcome) for one ngood cell, read-only since every call shares it.  The
+    forced outcome is True when every k-subset has an accepted orbit length
+    (pi_g = 1), False when none has (pi_g = 0), and None when the drawn
+    subsets decide, as read from the counting kernel
+    `ksets.good_ksubset_count` against C(n, k).  Cached per (params, k, s),
+    as `_ngood_table` is, so the kernel runs once per cell, not per call."""
+    subsets = math.comb(params.n, k)
+    outcomes = {}
+    for parts in _ngood_table(params.group, params.n, params.m, params.r)[0]:
+        fam = families._classify_type(parts, params, s)
+        good = ksets.good_ksubset_count(parts, k, params.m, params.r)
+        outcomes[parts] = (fam, fam == families.FAMILY_N and families.is_ngood_type(parts, params),
+                           True if good == subsets else False if good == 0 else None)
+    return MappingProxyType(outcomes)
+
+
 def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
     """Logical worker `worker`'s share of `run_conditional`: (contingency,
     N_good trials, N_good accepts, points traced, early rejections).
 
     `run_conditional` has checked s, and the line gives a valid group and
     degree, so the trials call the unchecked `_sample_type` and
-    `families._classify_type`.  In ngood mode each of the at most 11 types
-    of `_ngood_table` is classified once, family and N_good membership,
-    keyed by the table's tuple; `sample_ngood` still draws every trial.
-    An Other trial draws no mask: it is tallied as rejected at its first
-    point, so the stream goes on to the next trial's type."""
+    `families._classify_type`.  In ngood mode a trial reads its family,
+    N_good membership and forced outcome by its type from
+    `_ngood_outcomes`; `sample_ngood` still draws every trial.
+
+    A trial draws k-subsets only when its outcome depends on them.  One
+    whose type accepts no k-subset (an Other type, or an N_good type with
+    pi_g = 0) draws no mask and is tallied as rejected at its first point;
+    one whose N_good type accepts every k-subset (pi_g = 1) draws no mask
+    and is tallied as accepted with all M points traced.  Either way the
+    stream goes on to the next trial's type."""
     params = config.line()
     good_lengths = families.accepted_lengths(params.m, params.r)
-    group, n, k, s = params.group, params.n, config.k, config.s
+    group, n, k, M, s = params.group, params.n, config.k, config.M, config.s
     classify_type, is_ngood_type = families._classify_type, families.is_ngood_type
     random_kmask, orbit_length = ksets.random_kmask, ksets.layout_orbit_length
     other, in_n = families.FAMILY_OTHER, families.FAMILY_N
     ngood = config.condition == "ngood"
     if ngood:
-        known = {}
-        for parts in _ngood_table(group, n, params.m, params.r)[0]:
-            fam = classify_type(parts, params, s)
-            known[parts] = fam, fam == in_n and is_ngood_type(parts, params)
-    masks = range(1, config.M + 1)
+        outcomes = _ngood_outcomes(params, k, s)
+    masks = range(1, M + 1)
     contingency = {}
     ngood_trials = ngood_accepted = traced = early = 0
     rng, trials = _worker_stream(config, worker)
@@ -381,18 +403,14 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
     for _ in range(trials):
         if ngood:
             parts = sample_ngood(params, rng)
-            fam, good = known[parts]
+            fam, good, forced = outcomes[parts]
         else:
             parts = _sample_type(group, n, getrandbits)
             fam = classify_type(parts, params, s)
             good = fam == in_n and is_ngood_type(parts, params)
-        if fam == other:
-            # no orbit length of it is a multiple of m, so the test rejects
-            # it at its first point: counted so, with no mask drawn
-            accepted = False
-            traced += 1
-            early += 1
-        else:
+            # no orbit length of an Other element is a multiple of m
+            forced = False if fam == other else None
+        if forced is None:
             # same accept set as capped tracing: any orbit longer than rm
             # cannot equal r0*m, and the exact engine is far cheaper here;
             # no mask is drawn after the first rejected one
@@ -403,6 +421,13 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
                     early += i == 1
                     break
             traced += i
+        elif forced:
+            accepted = True
+            traced += M
+        else:
+            accepted = False
+            traced += 1
+            early += 1
         key = (fam, accepted)
         contingency[key] = contingency.get(key, 0) + 1
         if good:
@@ -430,19 +455,24 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     which picks the CLI's harness, is not read.  The checks run once per
     call, not per trial: each trial draws and classifies through the
     unchecked bodies of `sample_type` and `families.classify_type`.  In
-    ngood mode each of the at most 11 N_good types is classified once per
-    call, and a trial reads its family and N_good membership by its type.
+    ngood mode each of the at most 11 N_good types is classified, and its
+    pi_g read from `ksets.good_ksubset_count`, once per (params, k, s) cell
+    (`_ngood_outcomes`), and a trial reads them by its type.
     stats.cost counts the types drawn (`elements`), the points the test
-    traces (`points_traced`; an Other trial counts the one point whose trace
-    would reject it, though no subset is drawn) and the trials rejected at
-    their first point (`early_rejections`), under the keys of
-    `Transcript.cost()`.
+    traces (`points_traced`; a trial whose outcome is forced counts the
+    points the black-box test would trace, though no subset is drawn) and
+    the trials rejected at their first point (`early_rejections`), under
+    the keys of `Transcript.cost()`.
 
-    An Other element's order is not a multiple of m, and every orbit length
-    divides the order, so no orbit length of it is an accepted r0*m: no
-    k-subset is drawn for it, and the trial counts one point traced and one
-    early rejection, what the black-box test pays to reject it at its first
-    point.  Only an N element can lie in N_good.
+    A trial draws k-subsets only when its outcome depends on them.  An
+    Other element's order is not a multiple of m, and every orbit length
+    divides the order, so no orbit length of it is an accepted r0*m; an
+    N_good type with pi_g = 0 accepts no k-subset either.  Such a trial
+    draws no k-subset and counts one point traced and one early rejection,
+    what the black-box test pays to reject it at its first point.  An
+    N_good type with pi_g = 1 (say a prime m with n - m < k < m) accepts
+    every k-subset: its trial draws none and counts M points traced and no
+    early rejection.  Only an N element can lie in N_good.
     """
     replace(config, mode="conditional").validate()
     stats = SummaryStats(config)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -89,19 +90,27 @@ class TestRunConditional:
     @pytest.mark.parametrize(
         "line, n, k, condition, contingency, ngood_trials, ngood_accepted, cost", [
             # uniform draws through the rng.sample mask path (3k <= n)
-            (1, 100, 2, "none", {("N", False): 1, ("N", True): 25, ("Other", False): 1889,
-                                 ("R", False): 83, ("Sge2", False): 2}, 26, 25, (2077, 1973)),
+            pytest.param(1, 100, 2, "none", {("N", False): 1, ("N", True): 25, ("Other", False): 1889,
+                                             ("R", False): 83, ("Sge2", False): 2}, 26, 25, (2077, 1973),
+                         id="1-100-2-none"),
             # the 3k > n fix-up path, with Alt's type redraws
-            (4, 21, 10, "none", {("N", True): 198, ("Other", False): 1548, ("R", False): 252,
-                                 ("R", True): 2}, 198, 198, (2610, 1792)),
+            pytest.param(4, 21, 10, "none", {("N", True): 198, ("Other", False): 1548, ("R", False): 252,
+                                             ("R", True): 2}, 198, 198, (2610, 1792),
+                         id="4-21-10-none"),
             # conditioned on N_good, with a few rejected trials
-            (2, 17, 8, "ngood", {("N", False): 3, ("N", True): 1997}, 2000, 1997, (7993, 1)),
-            (6, 20, 3, "ngood", {("N", False): 12, ("N", True): 1988}, 2000, 1988, (7986, 2)),
+            pytest.param(2, 17, 8, "ngood", {("N", False): 3, ("N", True): 1997}, 2000, 1997, (7993, 1),
+                         id="2-17-8-ngood"),
+            pytest.param(6, 20, 3, "ngood", {("N", False): 12, ("N", True): 1988}, 2000, 1988, (7986, 2),
+                         id="6-20-3-ngood"),
+            # one of its three N_good types, (3, 15), accepts every 4-subset
+            # and draws none; the other two draw masks
+            pytest.param(3, 18, 4, "ngood", {("N", False): 26, ("N", True): 1974}, 2000, 1974, (7955, 8),
+                         id="3-18-4-ngood"),
         ])
     def test_seeded_outputs_pinned(self, line, n, k, condition, contingency,
                                    ngood_trials, ngood_accepted, cost):
         # the tallies move when the sampling stream changes; a cell with few
-        # rejections can miss one change, so four cells on both draw paths
+        # rejections can miss one change, so five cells on both draw paths
         # are pinned, with the cost counts (points traced, early rejections)
         group, goal = families.LINES[line][:2]
         st = montecarlo.run_conditional(cfg(group=group, n=n, goal=goal, k=k, condition=condition,
@@ -178,24 +187,34 @@ def first_admissible(line, start):
 
 def reference_conditional(config):
     """(contingency, ngood_trials, ngood_accepted, cost) of the conditional
-    trial loop with no shortcut but the Other one: an Other trial draws no
-    mask and counts one point traced and one early rejection, every drawn
-    mask's orbit length is computed, and `is_ngood_type` is asked of every
-    trial."""
+    trial loop with no shortcut but the forced outcomes: an Other trial, and
+    in ngood mode a trial whose type has pi_g = 0, draws no mask and counts
+    one point traced and one early rejection; in ngood mode a trial whose
+    type has pi_g = 1 draws no mask and counts M points traced.  pi_g is
+    asked of the counting kernel, every drawn mask's orbit length is
+    computed, and `is_ngood_type` is asked of every trial."""
     params = config.line()
     n, k = params.n, config.k
     good_lengths = families.accepted_lengths(params.m, params.r)
+    good_subsets = {}  # the kernel's count per type, so a cell costs one call per type
     contingency = {}
     ngood_trials = ngood_accepted = traced = early = 0
     for rng in trial_rngs(config):
         if config.condition == "ngood":
             parts = montecarlo.sample_ngood(params, rng)
+            if parts not in good_subsets:
+                good_subsets[parts] = ksets.good_ksubset_count(parts, k, params.m, params.r)
+            passing = good_subsets[parts]
         else:
             parts = montecarlo.sample_type(params.group, n, rng)
+            passing = None
         fam = families.classify_type(parts, params, config.s)
-        if fam == families.FAMILY_OTHER:
+        if fam == families.FAMILY_OTHER or passing == 0:
             # no mask drawn: exact by test_other_orbit_lengths_never_accepted
+            # and TestForcedOutcomes
             accepted, i = False, 1
+        elif passing == math.comb(n, k):
+            accepted, i = True, config.M
         else:
             accepted = True
             for i in range(1, config.M + 1):
@@ -250,7 +269,9 @@ class TestOtherRejectedUnread:
         # 2 workers (on two processes where two CPUs are usable)
         for start in (24, 100):
             lp = first_admissible(line, start)
-            for k in (2, lp.n // 2):
+            # k=4 on line 3 at n=24 mixes types that draw masks with one
+            # that accepts every 4-subset
+            for k in (2, 4, lp.n // 2):
                 for workers in (1, 2):
                     config = cfg(group=lp.group, n=lp.n, goal=families.LINES[line][1], k=k, condition=condition,
                                  trials=1000, seed=line, workers=workers)
@@ -260,6 +281,55 @@ class TestOtherRejectedUnread:
                     assert got == expected, (lp.n, k, workers)
                     # the one-stream-after-another loop's key order, too
                     assert list(st.contingency) == list(expected[0]), (lp.n, k, workers)
+
+
+def enumerated_outcome(parts, k, good_lengths):
+    """The outcome every k-subset of the laid-out type forces, by reading
+    the orbit length of each: True if all are accepted, False if none is,
+    None once both kinds are seen."""
+    seen = set()
+    for points in itertools.combinations([1 << i for i in range(sum(parts))], k):
+        seen.add(ksets.layout_orbit_length(sum(points), parts) in good_lengths)
+        if len(seen) == 2:
+            return None
+    return seen.pop()
+
+
+class TestForcedOutcomes:
+    """In ngood mode a trial whose type accepts every k-subset (pi_g = 1)
+    or none (pi_g = 0) draws no mask; the flag is read once per cell from
+    the counting kernel and checked here against enumeration."""
+
+    @pytest.mark.parametrize("line", range(1, 10))
+    def test_flags_match_enumeration(self, line):
+        # k = n as well, outside the harness's 2 <= k <= n/2, so the pi_g = 0
+        # flag is checked too: an n-cycle's one n-subset has orbit length 1
+        for n in range(13, 21):
+            try:
+                lp = families.line_params_by_line(line, n)
+            except ValueError:
+                continue
+            good_lengths = families.accepted_lengths(lp.m, lp.r)
+            for k in sorted({2, 3, 4, n // 2, n}):
+                outcomes = montecarlo._ngood_outcomes(lp, k, Fraction(5, 8))
+                assert set(outcomes) == set(families.ngood_types(lp.group, n, lp.m, lp.r))
+                for parts, (fam, good, forced) in outcomes.items():
+                    assert (fam, good) == (families.FAMILY_N, True)
+                    assert forced == enumerated_outcome(parts, k, good_lengths), (n, k, parts)
+
+    def test_all_accepted_cell_draws_no_mask(self, monkeypatch):
+        # line 2 at n = 105: m = 103 is prime and n - m < k < m, so both
+        # N_good types accept every 52-subset
+        def no_mask(*args):
+            raise AssertionError("a mask was drawn")
+
+        monkeypatch.setattr(ksets, "random_kmask", no_mask)
+        trials, M = 500, 4
+        st = montecarlo.run_conditional(cfg(n=105, goal=families.TRANSPOSITION, k=52, M=M,
+                                            condition="ngood", trials=trials, seed=8))
+        assert st.contingency == {(families.FAMILY_N, True): trials}
+        assert (st.ngood_trials, st.ngood_accepted) == (trials, trials)
+        assert st.cost == Counter(elements=trials, points_traced=M * trials, early_rejections=0)
 
 
 class GetrandbitsOnly:

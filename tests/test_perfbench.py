@@ -34,10 +34,10 @@ def test_workload_builds(bench, name):
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("conditional-uniform", "e665ca5954ed2cac"),
-    ("conditional-ngood", "d544b4ef3c7d55a4"),
-    ("detect", "157a1b92d923e94c"),
-    ("exact", "696765039ff08009"),
+    pytest.param("conditional-uniform", "e665ca5954ed2cac", id="conditional-uniform"),
+    pytest.param("conditional-ngood", "d544b4ef3c7d55a4", id="conditional-ngood"),
+    pytest.param("detect", "157a1b92d923e94c", id="detect"),
+    pytest.param("exact", "696765039ff08009", id="exact"),
 ])
 def test_seed7_digest_pinned(bench, name, digest):
     # one rep of each workload at seed 7 hashes to the digest its benchmark
