@@ -20,8 +20,9 @@ from .families import LineParams, accepted_lengths
 class GroupOracle:
     """Abstract black-box group action: opaque elements, opaque points.
 
-    Elements support no arithmetic; the only capabilities are drawing
-    uniform random elements and points, and applying an element to a point.
+    Elements support no arithmetic; the only capabilities the algorithms
+    use are drawing uniform random elements and points, and applying an
+    element to a point.  `natural` is a labelling backdoor for experiments.
     """
 
     def random_element(self, rng) -> Any:
@@ -31,6 +32,12 @@ class GroupOracle:
         raise NotImplementedError
 
     def act(self, point: Any, element: Any) -> Any:
+        raise NotImplementedError
+
+    def natural(self, element: Any) -> perms.Permutation:
+        """The degree-n permutation behind `element`, for labelling an
+        experiment's outcome only (`montecarlo.run_findmcycle` reads it);
+        the algorithms never call it."""
         raise NotImplementedError
 
 

@@ -61,10 +61,17 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def validate(self) -> None:
-        """Raise ValueError on a bad value or combination of values: the
-        line must exist, k, M, trials and workers lie in range, s in
-        (1/2, 1), and in findmcycle mode the detector's eps and M hold and
-        the condition is 'none'."""
+        """Raise ValueError on a bad value or combination of values: n, k,
+        M, trials, workers and seed must be ints (not bools), the line must
+        exist, k, M, trials and workers lie in range, s in (1/2, 1), and in
+        findmcycle mode the detector's eps and M hold and the condition is
+        'none'."""
+        # another type would run a quietly different experiment or fail deep
+        # inside: seed="7" hashes as seed=7, and trials=True runs one trial
+        for name in ("n", "k", "M", "trials", "workers", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         self.line()
         families.check_s(self.s)
         algorithms.check_k(self.k, self.n)
@@ -352,22 +359,19 @@ def sample_ngood(params: LineParams, rng) -> tuple[int, ...]:
 
 
 @functools.cache
-def _ngood_outcomes(params: LineParams, k: int, s: Fraction) -> MappingProxyType:
-    """Each type of `_ngood_table` -> (family, N_good membership, forced
-    outcome) for one ngood cell, read-only since every call shares it.  The
-    forced outcome is True when every k-subset has an accepted orbit length
-    (pi_g = 1), False when none has (pi_g = 0), and None when the drawn
-    subsets decide, as read from the counting kernel
-    `ksets.good_ksubset_count` against C(n, k).  Cached per (params, k, s),
+def _ngood_outcomes(params: LineParams, k: int, s: Fraction) -> tuple[int, MappingProxyType]:
+    """(C, outcomes) for one ngood cell: C = C(n, k), and outcomes maps each
+    type of `_ngood_table` to (family, N_good membership, G), read-only
+    since every call shares it.  G is the number of k-subsets with an
+    accepted orbit length, from the counting kernel
+    `ksets.good_ksubset_count`, so pi_g = G / C.  Cached per (params, k, s),
     as `_ngood_table` is, so the kernel runs once per cell, not per call."""
-    subsets = math.comb(params.n, k)
     outcomes = {}
     for parts in _ngood_table(params.group, params.n, params.m, params.r)[0]:
         fam = families._classify_type(parts, params, s)
-        good = ksets.good_ksubset_count(parts, k, params.m, params.r)
         outcomes[parts] = (fam, fam == families.FAMILY_N and families.is_ngood_type(parts, params),
-                           True if good == subsets else False if good == 0 else None)
-    return MappingProxyType(outcomes)
+                           ksets.good_ksubset_count(parts, k, params.m, params.r))
+    return math.comb(params.n, k), MappingProxyType(outcomes)
 
 
 def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
@@ -375,17 +379,20 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
     N_good trials, N_good accepts, points traced, early rejections).
 
     `run_conditional` has checked s, and the line gives a valid group and
-    degree, so the trials call the unchecked `_sample_type` and
+    degree, so the uniform trials call the unchecked `_sample_type` and
     `families._classify_type`.  In ngood mode a trial reads its family,
-    N_good membership and forced outcome by its type from
+    N_good membership and count G of accepted k-subsets by its type from
     `_ngood_outcomes`; `sample_ngood` still draws every trial.
 
-    A trial draws k-subsets only when its outcome depends on them.  One
-    whose type accepts no k-subset (an Other type, or an N_good type with
-    pi_g = 0) draws no mask and is tallied as rejected at its first point;
-    one whose N_good type accepts every k-subset (pi_g = 1) draws no mask
-    and is tallied as accepted with all M points traced.  Either way the
-    stream goes on to the next trial's type."""
+    A uniform trial draws k-subsets, as bit masks, only when its outcome
+    depends on them: an Other trial accepts no k-subset, draws no mask and
+    is tallied as rejected at its first point.  An ngood trial draws no
+    k-subset at all: each point takes one exact Bernoulli(G/C) draw, with
+    C = C(n, k).  x < C is drawn by `rng.randrange(C)`'s rule
+    (`getrandbits(C.bit_length())`, redrawn while x >= C), and the point
+    passes when x < G; no point is drawn after the first rejected one.  A
+    type with G = C (pi_g = 1) or G = 0 draws nothing; it is tallied as
+    accepted with all M points traced, or as rejected at its first point."""
     params = config.line()
     good_lengths = families.accepted_lengths(params.m, params.r)
     group, n, k, M, s = params.group, params.n, config.k, config.M, config.s
@@ -394,8 +401,9 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
     other, in_n = families.FAMILY_OTHER, families.FAMILY_N
     ngood = config.condition == "ngood"
     if ngood:
-        outcomes = _ngood_outcomes(params, k, s)
-    masks = range(1, M + 1)
+        subsets, outcomes = _ngood_outcomes(params, k, s)
+        bits = subsets.bit_length()
+    points = range(1, M + 1)
     contingency = {}
     ngood_trials = ngood_accepted = traced = early = 0
     rng, trials = _worker_stream(config, worker)
@@ -403,31 +411,47 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
     for _ in range(trials):
         if ngood:
             parts = sample_ngood(params, rng)
-            fam, good, forced = outcomes[parts]
+            fam, good, passing = outcomes[parts]
+            if passing == subsets:  # pi_g = 1: every k-subset is accepted
+                accepted = True
+                traced += M
+            elif passing:
+                # a point passes with probability G/C exactly, as a uniform
+                # k-subset's orbit length is accepted
+                accepted = True
+                for i in points:
+                    x = getrandbits(bits)
+                    while x >= subsets:
+                        x = getrandbits(bits)
+                    if x >= passing:
+                        accepted = False
+                        early += i == 1
+                        break
+                traced += i
+            else:  # pi_g = 0: no k-subset is accepted
+                accepted = False
+                traced += 1
+                early += 1
         else:
             parts = _sample_type(group, n, getrandbits)
             fam = classify_type(parts, params, s)
             good = fam == in_n and is_ngood_type(parts, params)
-            # no orbit length of an Other element is a multiple of m
-            forced = False if fam == other else None
-        if forced is None:
-            # same accept set as capped tracing: any orbit longer than rm
-            # cannot equal r0*m, and the exact engine is far cheaper here;
-            # no mask is drawn after the first rejected one
-            accepted = True
-            for i in masks:
-                if orbit_length(random_kmask(n, k, rng), parts) not in good_lengths:
-                    accepted = False
-                    early += i == 1
-                    break
-            traced += i
-        elif forced:
-            accepted = True
-            traced += M
-        else:
-            accepted = False
-            traced += 1
-            early += 1
+            if fam == other:
+                # no orbit length of an Other element is a multiple of m
+                accepted = False
+                traced += 1
+                early += 1
+            else:
+                # same accept set as capped tracing: any orbit longer than rm
+                # cannot equal r0*m, and the exact engine is far cheaper here;
+                # no mask is drawn after the first rejected one
+                accepted = True
+                for i in points:
+                    if orbit_length(random_kmask(n, k, rng), parts) not in good_lengths:
+                        accepted = False
+                        early += i == 1
+                        break
+                traced += i
         key = (fam, accepted)
         contingency[key] = contingency.get(key, 0) + 1
         if good:
@@ -439,9 +463,8 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
 def run_conditional(config: ExperimentConfig) -> SummaryStats:
     """Draw cycle types of elements (uniform in G by `sample_type`, or
     uniform in N_good by `sample_ngood` when config.condition == 'ngood'),
-    classify each, run the point-tracing test on uniform k-subsets (drawn
-    as bit masks by `ksets.random_kmask`), and tally family-by-outcome
-    counts.
+    classify each, run the point-tracing test on M uniform k-subsets, and
+    tally family-by-outcome counts.
 
     Every tally is a class function, so no permutation is built: the cycles
     are laid on 0..n-1 as consecutive blocks, and a uniform k-subset has
@@ -456,23 +479,30 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     call, not per trial: each trial draws and classifies through the
     unchecked bodies of `sample_type` and `families.classify_type`.  In
     ngood mode each of the at most 11 N_good types is classified, and its
-    pi_g read from `ksets.good_ksubset_count`, once per (params, k, s) cell
-    (`_ngood_outcomes`), and a trial reads them by its type.
+    count G of accepted k-subsets read from `ksets.good_ksubset_count`,
+    once per (params, k, s) cell (`_ngood_outcomes`), and a trial reads
+    them by its type.
     stats.cost counts the types drawn (`elements`), the points the test
-    traces (`points_traced`; a trial whose outcome is forced counts the
-    points the black-box test would trace, though no subset is drawn) and
-    the trials rejected at their first point (`early_rejections`), under
-    the keys of `Transcript.cost()`.
+    traces (`points_traced`; a point decided without drawing its subset
+    counts as the black-box test would trace it) and the trials rejected
+    at their first point (`early_rejections`), under the keys of
+    `Transcript.cost()`.
 
-    A trial draws k-subsets only when its outcome depends on them.  An
-    Other element's order is not a multiple of m, and every orbit length
-    divides the order, so no orbit length of it is an accepted r0*m; an
-    N_good type with pi_g = 0 accepts no k-subset either.  Such a trial
+    A uniform trial draws its k-subsets as bit masks (`ksets.random_kmask`)
+    and reads their orbit lengths, unless its outcome is fixed: an Other
+    element's order is not a multiple of m, and every orbit length divides
+    the order, so no orbit length of it is an accepted r0*m.  Such a trial
     draws no k-subset and counts one point traced and one early rejection,
-    what the black-box test pays to reject it at its first point.  An
-    N_good type with pi_g = 1 (say a prime m with n - m < k < m) accepts
-    every k-subset: its trial draws none and counts M points traced and no
-    early rejection.  Only an N element can lie in N_good.
+    what the black-box test pays to reject it at its first point.
+
+    ngood mode draws no k-subset.  A point of a type with C = C(n, k)
+    k-subsets, G of them accepted, passes with probability G/C, the law of
+    a uniform k-subset's verdict, so each point takes one exact
+    Bernoulli(G/C) draw (see `_conditional_tally`), up to its first
+    rejection.  A type with G = 0 draws nothing and is rejected at its
+    first point, as an Other trial is; one with G = C (pi_g = 1, say a
+    prime m with n - m < k < m) draws nothing and counts M points traced
+    and no early rejection.  Only an N element can lie in N_good.
     """
     replace(config, mode="conditional").validate()
     stats = SummaryStats(config)

@@ -151,6 +151,14 @@ class TestTestbedOracle:
         g = oracle.random_element(random.Random(1))
         assert oracle.natural(g) is g
 
+    def test_protocol_declares_every_call(self):
+        # the detector's three calls and run_findmcycle's labelling call
+        base = algorithms.GroupOracle()
+        for name, args in [("random_element", (None,)), ("random_point", (None,)),
+                           ("act", (None, None)), ("natural", (None,))]:
+            with pytest.raises(NotImplementedError):
+                getattr(base, name)(*args)
+
 
 class TestTraceCycle:
     def test_ncycle_accepted_mostly(self):

@@ -98,13 +98,13 @@ class TestRunConditional:
                                              ("R", True): 2}, 198, 198, (2610, 1792),
                          id="4-21-10-none"),
             # conditioned on N_good, with a few rejected trials
-            pytest.param(2, 17, 8, "ngood", {("N", False): 3, ("N", True): 1997}, 2000, 1997, (7993, 1),
+            pytest.param(2, 17, 8, "ngood", {("N", False): 3, ("N", True): 1997}, 2000, 1997, (7995, 1),
                          id="2-17-8-ngood"),
-            pytest.param(6, 20, 3, "ngood", {("N", False): 12, ("N", True): 1988}, 2000, 1988, (7986, 2),
+            pytest.param(6, 20, 3, "ngood", {("N", False): 5, ("N", True): 1995}, 2000, 1995, (7991, 2),
                          id="6-20-3-ngood"),
             # one of its three N_good types, (3, 15), accepts every 4-subset
-            # and draws none; the other two draw masks
-            pytest.param(3, 18, 4, "ngood", {("N", False): 26, ("N", True): 1974}, 2000, 1974, (7955, 8),
+            # and draws nothing; the other two take one verdict draw per point
+            pytest.param(3, 18, 4, "ngood", {("N", False): 30, ("N", True): 1970}, 2000, 1970, (7952, 8),
                          id="3-18-4-ngood"),
         ])
     def test_seeded_outputs_pinned(self, line, n, k, condition, contingency,
@@ -187,14 +187,17 @@ def first_admissible(line, start):
 
 def reference_conditional(config):
     """(contingency, ngood_trials, ngood_accepted, cost) of the conditional
-    trial loop with no shortcut but the forced outcomes: an Other trial, and
-    in ngood mode a trial whose type has pi_g = 0, draws no mask and counts
-    one point traced and one early rejection; in ngood mode a trial whose
-    type has pi_g = 1 draws no mask and counts M points traced.  pi_g is
-    asked of the counting kernel, every drawn mask's orbit length is
-    computed, and `is_ngood_type` is asked of every trial."""
+    trial loop with no shortcut but the exact ones.  An Other trial draws
+    no mask and counts one point traced and one early rejection.  In ngood
+    mode a trial reads G, its type's count of accepted k-subsets, from the
+    counting kernel: with G = 0 it is rejected at its first point and with
+    G = C(n, k) accepted with M points traced, drawing nothing; otherwise
+    each point passes when `rng.randrange(C) < G`.  Every mask a uniform
+    trial draws has its orbit length computed, and `is_ngood_type` is asked
+    of every trial."""
     params = config.line()
     n, k = params.n, config.k
+    subsets = math.comb(n, k)
     good_lengths = families.accepted_lengths(params.m, params.r)
     good_subsets = {}  # the kernel's count per type, so a cell costs one call per type
     contingency = {}
@@ -213,12 +216,16 @@ def reference_conditional(config):
             # no mask drawn: exact by test_other_orbit_lengths_never_accepted
             # and TestForcedOutcomes
             accepted, i = False, 1
-        elif passing == math.comb(n, k):
+        elif passing == subsets:
             accepted, i = True, config.M
         else:
             accepted = True
             for i in range(1, config.M + 1):
-                if ksets.layout_orbit_length(ksets.random_kmask(n, k, rng), parts) not in good_lengths:
+                if passing is None:
+                    passes = ksets.layout_orbit_length(ksets.random_kmask(n, k, rng), parts) in good_lengths
+                else:
+                    passes = rng.randrange(subsets) < passing
+                if not passes:
                     accepted = False
                     break
         traced += i
@@ -283,39 +290,51 @@ class TestOtherRejectedUnread:
                     assert list(st.contingency) == list(expected[0]), (lp.n, k, workers)
 
 
-def enumerated_outcome(parts, k, good_lengths):
-    """The outcome every k-subset of the laid-out type forces, by reading
-    the orbit length of each: True if all are accepted, False if none is,
-    None once both kinds are seen."""
-    seen = set()
-    for points in itertools.combinations([1 << i for i in range(sum(parts))], k):
-        seen.add(ksets.layout_orbit_length(sum(points), parts) in good_lengths)
-        if len(seen) == 2:
-            return None
-    return seen.pop()
+def enumerated_count(parts, k, good_lengths):
+    """The number of k-subsets of the laid-out type with an accepted orbit
+    length, by reading the orbit length of each."""
+    return sum(ksets.layout_orbit_length(sum(points), parts) in good_lengths
+               for points in itertools.combinations([1 << i for i in range(sum(parts))], k))
+
+
+def mask_ngood_accepts(params, k, M, trials, rng):
+    """The N_good acceptances of `trials` ngood trials read the slow way:
+    every trial draws up to M masks by `ksets.random_kmask` and reads each
+    orbit length by `ksets.layout_orbit_length`, stopping at the first
+    rejected one, with no shortcut for any type."""
+    good_lengths = families.accepted_lengths(params.m, params.r)
+    accepted = 0
+    for _ in range(trials):
+        parts = montecarlo.sample_ngood(params, rng)
+        accepted += all(ksets.layout_orbit_length(ksets.random_kmask(params.n, k, rng), parts)
+                        in good_lengths for _ in range(M))
+    return accepted
 
 
 class TestForcedOutcomes:
-    """In ngood mode a trial whose type accepts every k-subset (pi_g = 1)
-    or none (pi_g = 0) draws no mask; the flag is read once per cell from
-    the counting kernel and checked here against enumeration."""
+    """In ngood mode a trial reads its type's count G of accepted k-subsets,
+    cached once per cell from the counting kernel; a type with G = C(n, k)
+    (pi_g = 1) or G = 0 draws nothing, and the rest take one exact
+    Bernoulli(G/C) draw per point in place of a mask."""
 
     @pytest.mark.parametrize("line", range(1, 10))
     def test_flags_match_enumeration(self, line):
-        # k = n as well, outside the harness's 2 <= k <= n/2, so the pi_g = 0
-        # flag is checked too: an n-cycle's one n-subset has orbit length 1
-        for n in range(13, 21):
+        # the cached counts, which decide the no-draw outcomes, against all
+        # k-subsets; k = n as well, outside the harness's 2 <= k <= n/2, so a
+        # G = 0 type is seen too: an n-cycle's one n-subset has orbit length 1
+        for n in range(13, 19):
             try:
                 lp = families.line_params_by_line(line, n)
             except ValueError:
                 continue
             good_lengths = families.accepted_lengths(lp.m, lp.r)
             for k in sorted({2, 3, 4, n // 2, n}):
-                outcomes = montecarlo._ngood_outcomes(lp, k, Fraction(5, 8))
+                subsets, outcomes = montecarlo._ngood_outcomes(lp, k, Fraction(5, 8))
+                assert subsets == math.comb(n, k)
                 assert set(outcomes) == set(families.ngood_types(lp.group, n, lp.m, lp.r))
-                for parts, (fam, good, forced) in outcomes.items():
+                for parts, (fam, good, passing) in outcomes.items():
                     assert (fam, good) == (families.FAMILY_N, True)
-                    assert forced == enumerated_outcome(parts, k, good_lengths), (n, k, parts)
+                    assert passing == enumerated_count(parts, k, good_lengths), (n, k, parts)
 
     def test_all_accepted_cell_draws_no_mask(self, monkeypatch):
         # line 2 at n = 105: m = 103 is prime and n - m < k < m, so both
@@ -330,6 +349,68 @@ class TestForcedOutcomes:
         assert st.contingency == {(families.FAMILY_N, True): trials}
         assert (st.ngood_trials, st.ngood_accepted) == (trials, trials)
         assert st.cost == Counter(elements=trials, points_traced=M * trials, early_rejections=0)
+
+    def test_ngood_mode_draws_no_mask(self, monkeypatch):
+        # line 1 at n = 24, k = 2: the n-cycle's type has pi_g = 22/23, so
+        # its trials are decided by verdict draws, never by a mask
+        def no_mask(*args):
+            raise AssertionError("a k-subset was read")
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)  # a patch reaches no child
+        monkeypatch.setattr(ksets, "random_kmask", no_mask)
+        monkeypatch.setattr(ksets, "layout_orbit_length", no_mask)
+        st = montecarlo.run_conditional(cfg(n=24, k=2, condition="ngood", trials=2000, seed=9))
+        assert 0 < st.ngood_accepted < st.ngood_trials == 2000
+
+    @pytest.mark.parametrize("line", range(1, 10))
+    def test_verdicts_match_the_mask_path(self, line):
+        # the verdict path's ngood acceptance against the old mask path's and
+        # against the exact 1 - p1, each within 4 Wilson half-widths (for the
+        # two estimates, of their difference)
+        lp = first_admissible(line, 13)
+        goal = families.LINES[line][1]
+        trials, M = 4000, 4
+        for k in (2, 3, lp.n // 2):
+            exact = float(1 - exact_conditional(lp, k, M).p1)
+            st = montecarlo.run_conditional(cfg(group=lp.group, n=lp.n, goal=goal, k=k, M=M,
+                                                condition="ngood", trials=trials, seed=line))
+            verdicts = montecarlo.Estimate(st.ngood_accepted, st.ngood_trials)
+            masks = montecarlo.Estimate(
+                mask_ngood_accepts(lp, k, M, trials, random.Random(100 + line)), trials)
+            for est in (verdicts, masks):
+                assert abs(est.value - exact) <= 4 * est.half_width, (lp.n, k, est, exact)
+            assert (abs(verdicts.value - masks.value)
+                    <= 4 * math.hypot(verdicts.half_width, masks.half_width)), (lp.n, k)
+
+    @pytest.mark.parametrize("n, k", [(24, 2), (66, 33), (70, 35), (200, 100)])
+    def test_verdict_stream_is_randrange(self, monkeypatch, n, k):
+        # each verdict is rng.randrange(C) < G, with the generator left in
+        # the same state, whether C needs at most 64 bits or more (line 1,
+        # where the n-cycle's pi_g is 22/23 at n = 24, k = 2 and within
+        # 10**-8 of 1 at k = n/2, so those cells' verdicts nearly all pass)
+        config = cfg(n=n, k=k, condition="ngood", trials=300, seed=n)
+        params = config.line()
+        subsets, outcomes = montecarlo._ngood_outcomes(params, k, config.s)
+        counts = {parts: passing for parts, (_, _, passing) in outcomes.items()}
+        assert any(0 < passing < subsets for passing in counts.values())
+        ours, theirs = (montecarlo._worker_stream(config, 0)[0] for _ in range(2))
+        monkeypatch.setattr(montecarlo, "_worker_stream", lambda config, worker: (ours, config.trials))
+        _, _, accepted, _, _ = montecarlo._conditional_tally(config, 0)
+        expected = verdicts = 0
+        for _ in range(config.trials):
+            passing = counts[montecarlo.sample_ngood(params, theirs)]
+            accepted_here = passing == subsets
+            if 0 < passing < subsets:
+                for _ in range(config.M):
+                    verdicts += 1
+                    accepted_here = theirs.randrange(subsets) < passing
+                    if not accepted_here:
+                        break
+            expected += accepted_here
+        assert (subsets.bit_length() > 64) == (n >= 70)
+        assert verdicts >= config.trials
+        assert accepted == expected
+        assert ours.getstate() == theirs.getstate()
 
 
 class GetrandbitsOnly:
@@ -1095,6 +1176,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg(**kw).validate()
         assert cfg(mode="findmcycle").validate() is None
+
+    @pytest.mark.parametrize("value", [True, 2.0, "7"])
+    @pytest.mark.parametrize("field", ["n", "k", "M", "trials", "workers", "seed"])
+    def test_rejects_non_int_fields(self, field, value):
+        # a bool, float or str would run another experiment (seed="7" hashes
+        # as seed=7, trials=True runs one trial) or fail deep inside
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got {value!r}"):
+            cfg(**{field: value}).validate()
+        for run in (montecarlo.run_conditional, montecarlo.run_findmcycle):
+            with pytest.raises(ValueError, match=f"^{field} must be an int"):
+                run(cfg(**{"n": 30, "k": 2, "trials": 5, "eps": 0.2, field: value}))
 
     def test_ngood_needs_conditional_mode(self):
         assert cfg(condition="ngood").validate() is None
