@@ -429,6 +429,9 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
                         break
                 traced += i
             else:  # pi_g = 0: no k-subset is accepted
+                # not reached at 2 <= k <= n/2, where no N_good type has
+                # G = 0 (none on any line for n <= 70); kept so that a G = 0
+                # count, as at k = n, draws nothing
                 accepted = False
                 traced += 1
                 early += 1

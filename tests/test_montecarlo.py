@@ -290,11 +290,22 @@ class TestOtherRejectedUnread:
                     assert list(st.contingency) == list(expected[0]), (lp.n, k, workers)
 
 
-def enumerated_count(parts, k, good_lengths):
-    """The number of k-subsets of the laid-out type with an accepted orbit
-    length, by reading the orbit length of each."""
-    return sum(ksets.layout_orbit_length(sum(points), parts) in good_lengths
-               for points in itertools.combinations([1 << i for i in range(sum(parts))], k))
+def enumerated_verdicts(parts, k, good_lengths):
+    """The verdicts of the k-subsets of the laid-out type, one per subset,
+    by reading the orbit length of each."""
+    return (ksets.layout_orbit_length(sum(points), parts) in good_lengths
+            for points in itertools.combinations([1 << i for i in range(sum(parts))], k))
+
+
+def enumerated_outcome(parts, k, good_lengths):
+    """The outcome every k-subset of the laid-out type forces: True if all
+    are accepted, False if none is, None once both kinds are seen."""
+    seen = set()
+    for verdict in enumerated_verdicts(parts, k, good_lengths):
+        seen.add(verdict)
+        if len(seen) == 2:
+            return None
+    return seen.pop()
 
 
 def mask_ngood_accepts(params, k, M, trials, rng):
@@ -321,8 +332,11 @@ class TestForcedOutcomes:
     def test_flags_match_enumeration(self, line):
         # the cached counts, which decide the no-draw outcomes, against all
         # k-subsets; k = n as well, outside the harness's 2 <= k <= n/2, so a
-        # G = 0 type is seen too: an n-cycle's one n-subset has orbit length 1
-        for n in range(13, 19):
+        # G = 0 type is seen too: an n-cycle's one n-subset has orbit length 1.
+        # Above C(18, 9) subsets, at k = n/2 for n = 19 and 20, only the
+        # forced outcome is checked, by an enumeration that stops once both
+        # verdicts are seen
+        for n in range(13, 21):
             try:
                 lp = families.line_params_by_line(line, n)
             except ValueError:
@@ -334,7 +348,11 @@ class TestForcedOutcomes:
                 assert set(outcomes) == set(families.ngood_types(lp.group, n, lp.m, lp.r))
                 for parts, (fam, good, passing) in outcomes.items():
                     assert (fam, good) == (families.FAMILY_N, True)
-                    assert passing == enumerated_count(parts, k, good_lengths), (n, k, parts)
+                    if subsets <= math.comb(18, 9):
+                        assert passing == sum(enumerated_verdicts(parts, k, good_lengths)), (n, k, parts)
+                    else:
+                        forced = {subsets: True, 0: False}.get(passing)
+                        assert forced == enumerated_outcome(parts, k, good_lengths), (n, k, parts)
 
     def test_all_accepted_cell_draws_no_mask(self, monkeypatch):
         # line 2 at n = 105: m = 103 is prime and n - m < k < m, so both
