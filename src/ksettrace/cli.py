@@ -169,11 +169,15 @@ def cmd_find_mcycle(opts: dict, out) -> int:
 
 
 def cmd_experiment(opts: dict, out) -> int:
-    config = montecarlo.ExperimentConfig(**{"k": 2, **opts})
+    fields = {"k": 2, **opts}
+    conditional = fields.pop("mode", "conditional") == "conditional"
+    config = montecarlo.ExperimentConfig(**fields)
+    if conditional:
+        run, check = montecarlo.run_conditional, config.validate
+    else:
+        run, check = montecarlo.run_findmcycle, config.validate_findmcycle
     with _reading_input():
-        config.validate()
-    conditional = config.mode == "conditional"
-    run = montecarlo.run_conditional if conditional else montecarlo.run_findmcycle
+        check()
     t0 = time.perf_counter()
     stats = run(config)
     seconds = time.perf_counter() - t0
@@ -305,7 +309,7 @@ COMMANDS = {
     "classify": (cmd_classify, (*LINE, "perm"), ("s",)),
     "find-mcycle": (cmd_find_mcycle, (*LINE, "seed"), ("k", "eps", "M")),
     "experiment": (cmd_experiment, (*LINE, "seed"),
-                   ("k", "M", "s", "delta", "eps", "mode", "trials", "workers", "condition")),
+                   ("k", "M", "s", "eps", "mode", "trials", "workers", "condition")),
     "verify": (cmd_verify, (), ("suite",)),
     "bounds": (cmd_bounds, (), ("M", "s", "delta", "cdelta", "adelta", "r", "eps")),
     "oracle": (cmd_oracle, LINE, ("k", "M", "what")),

@@ -16,10 +16,9 @@ import random
 import threading
 from bisect import bisect
 from collections import Counter
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
-from types import MappingProxyType
 from typing import Iterable
 
 from . import algorithms, families, ksets, perms
@@ -35,9 +34,7 @@ class ExperimentConfig:
     The trials split over `workers` logical workers, each with its own
     seeded stream, so the tallies depend on (seed, workers).  A harness
     runs the workers on min(workers, usable CPUs) processes
-    (`process_count`), with the same tallies on any number of them.
-    `mode` picks the CLI's harness only: each harness checks a config as
-    its own mode, whatever the field holds."""
+    (`process_count`), with the same tallies on any number of them."""
 
     group: str
     n: int
@@ -45,9 +42,7 @@ class ExperimentConfig:
     k: int
     M: int = 4
     s: Fraction = Fraction(5, 8)
-    delta: Fraction = Fraction(1, 24)
     eps: float = 0.1
-    mode: str = "conditional"  # conditional | findmcycle
     trials: int = 10**4
     seed: int = 0
     workers: int = 1
@@ -61,17 +56,21 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def validate(self) -> None:
-        """Raise ValueError on a bad value or combination of values: n, k,
-        M, trials, workers and seed must be ints (not bools), the line must
-        exist, k, M, trials and workers lie in range, s in (1/2, 1), and in
-        findmcycle mode the detector's eps and M hold and the condition is
-        'none'."""
+        """Raise ValueError, naming the field, on a bad value or combination
+        of values: n, k, M, trials, workers and seed must be ints and eps an
+        int or float (none of them a bool), s a Fraction in (1/2, 1), the
+        line must exist, and k, M, trials and workers lie in range.  Both
+        harnesses need these; `validate_findmcycle` adds the detector's."""
         # another type would run a quietly different experiment or fail deep
         # inside: seed="7" hashes as seed=7, and trials=True runs one trial
         for name in ("n", "k", "M", "trials", "workers", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.s, Fraction):
+            raise ValueError(f"s must be a Fraction, got {self.s!r}")
+        if isinstance(self.eps, bool) or not isinstance(self.eps, (int, float)):
+            raise ValueError(f"eps must be an int or float, got {self.eps!r}")
         self.line()
         families.check_s(self.s)
         algorithms.check_k(self.k, self.n)
@@ -81,15 +80,17 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.mode not in ("conditional", "findmcycle"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.condition not in ("none", "ngood"):
             raise ValueError(f"unknown condition {self.condition!r}")
-        if self.mode == "findmcycle":
-            algorithms.check_detector_args(self.eps, self.M)
-            if self.condition != "none":
-                raise ValueError("mode 'findmcycle' takes condition 'none', "
-                                 f"got condition {self.condition!r}")
+
+    def validate_findmcycle(self) -> None:
+        """`validate`, then the detector's own checks: eps in (0, 1), M >= 4,
+        and condition 'none', since the detector draws from all of G."""
+        self.validate()
+        algorithms.check_detector_args(self.eps, self.M)
+        if self.condition != "none":
+            raise ValueError("mode 'findmcycle' takes condition 'none', "
+                             f"got condition {self.condition!r}")
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -359,19 +360,21 @@ def sample_ngood(params: LineParams, rng) -> tuple[int, ...]:
 
 
 @functools.cache
-def _ngood_outcomes(params: LineParams, k: int, s: Fraction) -> tuple[int, MappingProxyType]:
-    """(C, outcomes) for one ngood cell: C = C(n, k), and outcomes maps each
-    type of `_ngood_table` to (family, N_good membership, G), read-only
-    since every call shares it.  G is the number of k-subsets with an
-    accepted orbit length, from the counting kernel
-    `ksets.good_ksubset_count`, so pi_g = G / C.  Cached per (params, k, s),
-    as `_ngood_table` is, so the kernel runs once per cell, not per call."""
-    outcomes = {}
-    for parts in _ngood_table(params.group, params.n, params.m, params.r)[0]:
+def _ngood_outcomes(params: LineParams, k: int, s: Fraction) -> tuple[int, tuple, tuple]:
+    """(C, cum, rows) for one ngood cell: C = C(n, k), cum the cumulative
+    weights of `_ngood_table`'s types, and rows, in the same order, each
+    type's (family, N_good membership, G), all read-only since every call
+    shares them.  G is the number of k-subsets with an accepted orbit
+    length, from the counting kernel `ksets.good_ksubset_count`, so pi_g =
+    G / C.  Cached per (params, k, s), as `_ngood_table` is, so the kernel
+    runs once per cell, not per call."""
+    types, cum = _ngood_table(params.group, params.n, params.m, params.r)
+    rows = []
+    for parts in types:
         fam = families._classify_type(parts, params, s)
-        outcomes[parts] = (fam, fam == families.FAMILY_N and families.is_ngood_type(parts, params),
-                           ksets.good_ksubset_count(parts, k, params.m, params.r))
-    return math.comb(params.n, k), MappingProxyType(outcomes)
+        rows.append((fam, fam == families.FAMILY_N and families.is_ngood_type(parts, params),
+                     ksets.good_ksubset_count(parts, k, params.m, params.r)))
+    return math.comb(params.n, k), cum, tuple(rows)
 
 
 def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
@@ -380,9 +383,10 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
 
     `run_conditional` has checked s, and the line gives a valid group and
     degree, so the uniform trials call the unchecked `_sample_type` and
-    `families._classify_type`.  In ngood mode a trial reads its family,
-    N_good membership and count G of accepted k-subsets by its type from
-    `_ngood_outcomes`; `sample_ngood` still draws every trial.
+    `families._classify_type`.  In ngood mode a trial draws its row of
+    `_ngood_outcomes` (family, N_good membership and count G of accepted
+    k-subsets) by `sample_ngood`'s rule, one `rng.random()` bisected into
+    the cell's cumulative weights, so the stream is that call's.
 
     A uniform trial draws k-subsets, as bit masks, only when its outcome
     depends on them: an Other trial accepts no k-subset, draws no mask and
@@ -391,33 +395,34 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
     C = C(n, k).  x < C is drawn by `rng.randrange(C)`'s rule
     (`getrandbits(C.bit_length())`, redrawn while x >= C), and the point
     passes when x < G; no point is drawn after the first rejected one.  A
-    type with G = C (pi_g = 1) or G = 0 draws nothing; it is tallied as
-    accepted with all M points traced, or as rejected at its first point."""
+    type with G = C (pi_g = 1) draws nothing and is tallied as accepted
+    with all M points traced."""
     params = config.line()
     good_lengths = families.accepted_lengths(params.m, params.r)
     group, n, k, M, s = params.group, params.n, config.k, config.M, config.s
     classify_type, is_ngood_type = families._classify_type, families.is_ngood_type
     random_kmask, orbit_length = ksets.random_kmask, ksets.layout_orbit_length
     other, in_n = families.FAMILY_OTHER, families.FAMILY_N
+    rng, trials = _worker_stream(config, worker)
+    getrandbits = rng.getrandbits
     ngood = config.condition == "ngood"
     if ngood:
-        subsets, outcomes = _ngood_outcomes(params, k, s)
-        bits = subsets.bit_length()
+        subsets, cum, rows = _ngood_outcomes(params, k, s)
+        bits, total, last, random_ = subsets.bit_length(), cum[-1], len(cum) - 1, rng.random
     points = range(1, M + 1)
     contingency = {}
     ngood_trials = ngood_accepted = traced = early = 0
-    rng, trials = _worker_stream(config, worker)
-    getrandbits = rng.getrandbits
     for _ in range(trials):
         if ngood:
-            parts = sample_ngood(params, rng)
-            fam, good, passing = outcomes[parts]
+            fam, good, passing = rows[bisect(cum, random_() * total, 0, last)]
             if passing == subsets:  # pi_g = 1: every k-subset is accepted
                 accepted = True
                 traced += M
-            elif passing:
+            else:
                 # a point passes with probability G/C exactly, as a uniform
-                # k-subset's orbit length is accepted
+                # k-subset's orbit length is accepted.  G >= 1 at 2 <= k <= n/2,
+                # where k consecutive points of the m-cycle have orbit length
+                # m (when k < m), and a G = 0 type would fail its first point
                 accepted = True
                 for i in points:
                     x = getrandbits(bits)
@@ -428,13 +433,6 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
                         early += i == 1
                         break
                 traced += i
-            else:  # pi_g = 0: no k-subset is accepted
-                # not reached at 2 <= k <= n/2, where no N_good type has
-                # G = 0 (none on any line for n <= 70); kept so that a G = 0
-                # count, as at k = n, draws nothing
-                accepted = False
-                traced += 1
-                early += 1
         else:
             parts = _sample_type(group, n, getrandbits)
             fam = classify_type(parts, params, s)
@@ -477,14 +475,13 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     merged in worker order, so the result, the contingency's key order
     included, is the same on any number of processes.  The workers run on
     `process_count(config)` processes: min(workers, usable CPUs).
-    The config is checked as a conditional-mode one: its `mode` field,
-    which picks the CLI's harness, is not read.  The checks run once per
-    call, not per trial: each trial draws and classifies through the
-    unchecked bodies of `sample_type` and `families.classify_type`.  In
-    ngood mode each of the at most 11 N_good types is classified, and its
-    count G of accepted k-subsets read from `ksets.good_ksubset_count`,
-    once per (params, k, s) cell (`_ngood_outcomes`), and a trial reads
-    them by its type.
+    The config is checked once per call (`ExperimentConfig.validate`), not
+    per trial: each trial draws and classifies through the unchecked
+    bodies of `sample_type` and `families.classify_type`.  In ngood mode
+    each of the at most 11 N_good types is classified, and its count G of
+    accepted k-subsets read from `ksets.good_ksubset_count`, once per
+    (params, k, s) cell (`_ngood_outcomes`), and a trial draws its type's
+    row of that table.
     stats.cost counts the types drawn (`elements`), the points the test
     traces (`points_traced`; a point decided without drawing its subset
     counts as the black-box test would trace it) and the trials rejected
@@ -502,12 +499,11 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     k-subsets, G of them accepted, passes with probability G/C, the law of
     a uniform k-subset's verdict, so each point takes one exact
     Bernoulli(G/C) draw (see `_conditional_tally`), up to its first
-    rejection.  A type with G = 0 draws nothing and is rejected at its
-    first point, as an Other trial is; one with G = C (pi_g = 1, say a
-    prime m with n - m < k < m) draws nothing and counts M points traced
-    and no early rejection.  Only an N element can lie in N_good.
+    rejection.  A type with G = C (pi_g = 1, say a prime m with
+    n - m < k < m) draws nothing and counts M points traced and no early
+    rejection.  Only an N element can lie in N_good.
     """
-    replace(config, mode="conditional").validate()
+    config.validate()
     stats = SummaryStats(config)
     contingency = stats.contingency
     traced = early = 0
@@ -548,10 +544,10 @@ def run_findmcycle(config: ExperimentConfig) -> SummaryStats:
     (no element returned).  stats.cost sums each run's `Transcript.cost()`.
     The runs split over logical workers and processes as in
     `run_conditional`, with the same result on any number of processes.
-    The config is checked as a findmcycle-mode one, whatever its `mode`
-    field holds, so a bad eps or M, or condition 'ngood' (the detector
-    draws from all of G), is refused before any child starts."""
-    replace(config, mode="findmcycle").validate()
+    The config is checked by `ExperimentConfig.validate_findmcycle`, so a
+    bad eps or M, or condition 'ngood' (the detector draws from all of G),
+    is refused before any child starts."""
+    config.validate_findmcycle()
     stats = SummaryStats(config)
     for good, bad, ugly, cost in _map_workers(_findmcycle_tally, config):
         stats.good += good
@@ -698,7 +694,6 @@ CSV_COLUMNS = [
     "k",
     "M",
     "s",
-    "delta",
     "family",
     "accepted_count",
     "trial_count",
@@ -731,7 +726,6 @@ def emit_report(stats: SummaryStats) -> str:
                 "k": config.k,
                 "M": config.M,
                 "s": str(config.s),
-                "delta": str(config.delta),
                 "family": fam,
                 "accepted_count": est.successes,
                 "trial_count": trials,

@@ -120,8 +120,7 @@ class TestExperimentCost:
         )
         assert code == 0
         config = montecarlo.ExperimentConfig(
-            group=perms.SYM, n=20, goal=families.LONG_CYCLE, k=2, trials=6, eps=0.3, seed=3,
-            mode="findmcycle")
+            group=perms.SYM, n=20, goal=families.LONG_CYCLE, k=2, trials=6, eps=0.3, seed=3)
         (line,) = [x for x in out.splitlines() if x.startswith("# cost: ")]
         assert json.loads(line[len("# cost: "):]) == montecarlo.run_findmcycle(config).cost
 
@@ -186,6 +185,17 @@ class TestConfigFile:
                                        "seed": 1, "bogus": True}))
         code, _ = run(["experiment", "--config", str(cfgfile)])
         assert code == 2
+
+    def test_experiment_takes_no_delta(self, tmp_path, capsys):
+        # delta is a `bounds` parameter; no harness reads it
+        base = {"group": "sym", "n": 20, "goal": "long-cycle", "k": 2, "trials": 5, "seed": 1}
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({**base, "delta": "1/24"}))
+        assert run(["experiment", "--config", str(cfgfile)]) == (2, "")
+        assert "unknown config keys: ['delta']" in capsys.readouterr().err
+        flags = [x for key, value in base.items() for x in (f"--{key}", str(value))]
+        assert run(["experiment", *flags, "--delta", "1/24"]) == (2, "")
+        assert run(["experiment", *flags])[0] == 0
 
     def test_config_echoed(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
@@ -410,7 +420,7 @@ class TestReadmeExamples:
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("argv", [
         ["experiment", "--group", "alt", "--n", "21", "--goal", "long-cycle", "--k", "3",
-         "--trials", "300", "--seed", "5", "--s", "0.7", "--delta", "1/20", "--eps", "0.3",
+         "--trials", "300", "--seed", "5", "--s", "0.7", "--eps", "0.3",
          "--condition", "ngood"],
         ["find-mcycle", "--group", "sym", "--n", "30", "--goal", "long-cycle", "--k", "2",
          "--eps", "0.2", "--seed", "7"],

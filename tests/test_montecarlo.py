@@ -158,14 +158,6 @@ class TestRunConditional:
         assert st.contingency == {(families.FAMILY_N, True): 300}
         assert st.cost == {"elements": 300, "points_traced": 4 * 300, "early_rejections": 0}
 
-    def test_mode_field_not_read(self):
-        # the harness checks a config as a conditional one: a findmcycle
-        # config's M below the detector's 4 and its ngood condition are run
-        for kw in (dict(M=2), dict(condition="ngood")):
-            config = cfg(n=40, k=2, trials=300, seed=4, **kw)
-            assert (montecarlo.run_conditional(dataclasses.replace(config, mode="findmcycle"))
-                    .contingency == montecarlo.run_conditional(config).contingency)
-
 
 def trial_rngs(config):
     """Each trial's stream in trial order: worker after worker, a worker's
@@ -325,28 +317,33 @@ def mask_ngood_accepts(params, k, M, trials, rng):
 class TestForcedOutcomes:
     """In ngood mode a trial reads its type's count G of accepted k-subsets,
     cached once per cell from the counting kernel; a type with G = C(n, k)
-    (pi_g = 1) or G = 0 draws nothing, and the rest take one exact
-    Bernoulli(G/C) draw per point in place of a mask."""
+    (pi_g = 1) draws nothing, and the rest take one exact Bernoulli(G/C)
+    draw per point in place of a mask.  No N_good type has G = 0 at
+    2 <= k <= n/2, so the harness needs no rule for one."""
 
     @pytest.mark.parametrize("line", range(1, 10))
     def test_flags_match_enumeration(self, line):
         # the cached counts, which decide the no-draw outcomes, against all
-        # k-subsets; k = n as well, outside the harness's 2 <= k <= n/2, so a
-        # G = 0 type is seen too: an n-cycle's one n-subset has orbit length 1.
-        # Above C(18, 9) subsets, at k = n/2 for n = 19 and 20, only the
-        # forced outcome is checked, by an enumeration that stops once both
-        # verdicts are seen
-        for n in range(13, 21):
+        # k-subsets, from each line's least admissible n; k = n as well,
+        # outside the harness's 2 <= k <= n/2, so a G = 0 type is seen too:
+        # an n-cycle's one n-subset has orbit length 1.  Above C(18, 9)
+        # subsets, at k = n/2 for n = 19 and 20, only the forced outcome is
+        # checked, by an enumeration that stops once both verdicts are seen
+        for n in range(7, 21):
             try:
                 lp = families.line_params_by_line(line, n)
             except ValueError:
                 continue
             good_lengths = families.accepted_lengths(lp.m, lp.r)
+            types, cum = montecarlo._ngood_table(lp.group, n, lp.m, lp.r)
+            assert set(types) == set(families.ngood_types(lp.group, n, lp.m, lp.r))
+            for k in range(2, n // 2 + 1):  # the harness's range has no G = 0 type
+                rows = montecarlo._ngood_outcomes(lp, k, Fraction(5, 8))[2]
+                assert all(passing >= 1 for _, _, passing in rows), (n, k)
             for k in sorted({2, 3, 4, n // 2, n}):
-                subsets, outcomes = montecarlo._ngood_outcomes(lp, k, Fraction(5, 8))
-                assert subsets == math.comb(n, k)
-                assert set(outcomes) == set(families.ngood_types(lp.group, n, lp.m, lp.r))
-                for parts, (fam, good, passing) in outcomes.items():
+                subsets, cum_k, rows = montecarlo._ngood_outcomes(lp, k, Fraction(5, 8))
+                assert (subsets, cum_k, len(rows)) == (math.comb(n, k), cum, len(types))
+                for parts, (fam, good, passing) in zip(types, rows):
                     assert (fam, good) == (families.FAMILY_N, True)
                     if subsets <= math.comb(18, 9):
                         assert passing == sum(enumerated_verdicts(parts, k, good_lengths)), (n, k, parts)
@@ -408,8 +405,9 @@ class TestForcedOutcomes:
         # 10**-8 of 1 at k = n/2, so those cells' verdicts nearly all pass)
         config = cfg(n=n, k=k, condition="ngood", trials=300, seed=n)
         params = config.line()
-        subsets, outcomes = montecarlo._ngood_outcomes(params, k, config.s)
-        counts = {parts: passing for parts, (_, _, passing) in outcomes.items()}
+        subsets, _, rows = montecarlo._ngood_outcomes(params, k, config.s)
+        types = montecarlo._ngood_table(params.group, n, params.m, params.r)[0]
+        counts = {parts: passing for parts, (_, _, passing) in zip(types, rows)}
         assert any(0 < passing < subsets for passing in counts.values())
         ours, theirs = (montecarlo._worker_stream(config, 0)[0] for _ in range(2))
         monkeypatch.setattr(montecarlo, "_worker_stream", lambda config, worker: (ours, config.trials))
@@ -531,7 +529,7 @@ class TestRunFindMCycle:
 
     def test_ngood_condition_refused(self):
         # the detector draws from all of G, so it must not run a cell that
-        # asks for N_good, even in the default (conditional) mode
+        # asks for N_good
         with pytest.raises(ValueError, match="condition 'none'"):
             montecarlo.run_findmcycle(
                 cfg(n=20, k=2, trials=30, eps=0.3, seed=9, condition="ngood"))
@@ -593,7 +591,7 @@ class TestProcesses:
         lp = first_admissible(line, 16)
         goal = families.LINES[line][1]
         if mode == "findmcycle":
-            base = dict(mode=mode, k=2, trials=7, eps=0.3)
+            base = dict(k=2, trials=7, eps=0.3)
             run = montecarlo.run_findmcycle
         else:
             base = dict(condition=mode, k=3, trials=301)
@@ -678,11 +676,9 @@ class TestProcesses:
 
     @pytest.mark.parametrize("bad", [dict(eps=1.5), dict(M=3)])
     def test_detector_args_checked_before_any_child(self, monkeypatch, bad):
-        # a findmcycle run checks eps and M in every mode, the default
-        # (conditional) one included, before it reaches the children
+        # a findmcycle run checks eps and M before it reaches the children
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
         config = cfg(n=40, k=2, trials=20, workers=2, **bad)
-        assert config.mode == "conditional"
         before = {proc.pid for proc in multiprocessing.active_children()}
         monkeypatch.setattr(montecarlo, "_CHILDREN", None)  # any use of the children fails
         with pytest.raises(ValueError, match="eps must|M must"):
@@ -1181,19 +1177,31 @@ class TestConfig:
         with pytest.raises(ValueError):
             cfg(trials=0).validate()
 
-    @pytest.mark.parametrize("field, value", [("mode", "exact-oracle"), ("condition", "ngod")])
+    @pytest.mark.parametrize("field, value", [("condition", "ngod")])
     def test_rejects_unknown_choice(self, field, value):
         with pytest.raises(ValueError, match=f"unknown {field}"):
             cfg(**{field: value}).validate()
 
     @pytest.mark.parametrize("kw", [
         dict(goal="no-such-goal"), dict(n=6), dict(s=Fraction(1, 2)), dict(s=Fraction(1)),
-        dict(mode="findmcycle", M=3), dict(mode="findmcycle", eps=1.0),
+        dict(M=3), dict(eps=1.0),
+        dict(s=0.7), dict(s="5/8"), dict(eps="0.2"), dict(eps=True),
     ])
     def test_rejects_bad_line_s_or_detector_args(self, kw):
+        # M=3 and eps=1.0 fail the detector's checks alone (the conditional
+        # harness runs any M >= 1 and reads no eps); a value of the wrong
+        # type is refused by its field's name
+        (name, value), = kw.items()
+        config = cfg(**kw)
         with pytest.raises(ValueError):
-            cfg(**kw).validate()
-        assert cfg(mode="findmcycle").validate() is None
+            config.validate_findmcycle()
+        right_type = type(value) is type(getattr(cfg(), name))
+        if right_type and name in ("M", "eps"):
+            assert config.validate() is None
+        else:
+            with pytest.raises(ValueError, match=None if right_type else f"^{name} must be"):
+                config.validate()
+        assert cfg().validate_findmcycle() is None
 
     @pytest.mark.parametrize("value", [True, 2.0, "7"])
     @pytest.mark.parametrize("field", ["n", "k", "M", "trials", "workers", "seed"])
@@ -1209,16 +1217,16 @@ class TestConfig:
     def test_ngood_needs_conditional_mode(self):
         assert cfg(condition="ngood").validate() is None
         with pytest.raises(ValueError, match="condition 'ngood'"):
-            cfg(mode="findmcycle", condition="ngood").validate()
+            cfg(condition="ngood").validate_findmcycle()
 
     def test_hash_stable(self):
         assert cfg().config_hash() == cfg().config_hash()
         assert cfg(seed=2).config_hash() != cfg(seed=3).config_hash()
-        assert cfg().config_hash() == "fc34462e740a"
+        assert cfg().config_hash() == "c4caf18b1e90"
 
     def test_hash_reads_every_field(self):
         other = dict(group=ALT, n=51, goal=families.TRANSPOSITION, k=4, M=5, s=Fraction(2, 3),
-                     delta=Fraction(1, 6), eps=0.2, mode="findmcycle", trials=999, seed=2,
+                     eps=0.2, trials=999, seed=2,
                      workers=2, condition="ngood")
         assert set(other) == {f.name for f in dataclasses.fields(ExperimentConfig)}
         for name, value in other.items():
