@@ -54,10 +54,17 @@ def _group(text: str) -> str:
     return {"sym": perms.SYM, "alt": perms.ALT}[text.lower()]
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:  # random.Random seeds from |seed|, so -5 would rerun seed 5
+        raise ValueError(text)
+    return seed
+
+
 # option name -> converter from the flag's text, or the tuple of allowed values
 OPTIONS = {
     "group": _group, "n": int, "goal": str, "perm": str, "subset": str, "cap": int,
-    "k": int, "M": int, "s": Fraction, "delta": Fraction, "eps": float, "seed": int,
+    "k": int, "M": int, "s": Fraction, "delta": Fraction, "eps": float, "seed": _seed,
     "trials": int, "workers": int, "r": int, "cdelta": float,
     "adelta": lambda text: float(Fraction(text)),
     "mode": ("conditional", "findmcycle"),

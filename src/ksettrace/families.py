@@ -205,8 +205,11 @@ def split_s_large(lengths, base: int, s: Fraction) -> str:
 
 
 def check_s(s: Fraction) -> None:
-    """Raise ValueError unless 1/2 < s < 1, the exponent range of the
-    s-large threshold (rn)^s."""
+    """Raise ValueError unless s is a Fraction with 1/2 < s < 1, the
+    exponent range of the s-large threshold (rn)^s: the threshold is
+    compared by integer cross-powers of its numerator and denominator."""
+    if not isinstance(s, Fraction):
+        raise ValueError(f"s must be a Fraction, got {s!r}")
     p, q = s.numerator, s.denominator
     if not q < 2 * p < 2 * q:  # 1/2 < s < 1, in integers
         raise ValueError(f"s must lie in (1/2, 1), got {s}")

@@ -67,8 +67,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if not isinstance(self.s, Fraction):
-            raise ValueError(f"s must be a Fraction, got {self.s!r}")
         if isinstance(self.eps, bool) or not isinstance(self.eps, (int, float)):
             raise ValueError(f"eps must be an int or float, got {self.eps!r}")
         self.line()
@@ -360,21 +358,15 @@ def sample_ngood(params: LineParams, rng) -> tuple[int, ...]:
 
 
 @functools.cache
-def _ngood_outcomes(params: LineParams, k: int, s: Fraction) -> tuple[int, tuple, tuple]:
-    """(C, cum, rows) for one ngood cell: C = C(n, k), cum the cumulative
-    weights of `_ngood_table`'s types, and rows, in the same order, each
-    type's (family, N_good membership, G), all read-only since every call
-    shares them.  G is the number of k-subsets with an accepted orbit
-    length, from the counting kernel `ksets.good_ksubset_count`, so pi_g =
-    G / C.  Cached per (params, k, s), as `_ngood_table` is, so the kernel
-    runs once per cell, not per call."""
+def _ngood_outcomes(params: LineParams, k: int) -> tuple[int, tuple, tuple]:
+    """(C, cum, counts) for one ngood cell: C = C(n, k), cum the cumulative
+    weights of `_ngood_table`'s types, and counts[i] the count G of type
+    i's k-subsets with an accepted orbit length, from the counting kernel
+    `ksets.good_ksubset_count`, so pi_g = G / C.  Cached per (params, k),
+    as `_ngood_table` is, so the kernel runs once per cell, not per call."""
     types, cum = _ngood_table(params.group, params.n, params.m, params.r)
-    rows = []
-    for parts in types:
-        fam = families._classify_type(parts, params, s)
-        rows.append((fam, fam == families.FAMILY_N and families.is_ngood_type(parts, params),
-                     ksets.good_ksubset_count(parts, k, params.m, params.r)))
-    return math.comb(params.n, k), cum, tuple(rows)
+    counts = tuple(ksets.good_ksubset_count(parts, k, params.m, params.r) for parts in types)
+    return math.comb(params.n, k), cum, counts
 
 
 def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
@@ -383,47 +375,27 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
 
     `run_conditional` has checked s, and the line gives a valid group and
     degree, so the uniform trials call the unchecked `_sample_type` and
-    `families._classify_type`.  In ngood mode a trial draws its row of
-    `_ngood_outcomes` (family, N_good membership and count G of accepted
-    k-subsets) by `sample_ngood`'s rule, one `rng.random()` bisected into
-    the cell's cumulative weights, so the stream is that call's.
-
-    A uniform trial draws k-subsets, as bit masks, only when its outcome
-    depends on them: an Other trial accepts no k-subset, draws no mask and
-    is tallied as rejected at its first point.  An ngood trial draws no
-    k-subset at all: each point takes one exact Bernoulli(G/C) draw, with
-    C = C(n, k).  x < C is drawn by `rng.randrange(C)`'s rule
-    (`getrandbits(C.bit_length())`, redrawn while x >= C), and the point
-    passes when x < G; no point is drawn after the first rejected one.  A
-    type with G = C (pi_g = 1) draws nothing and is tallied as accepted
-    with all M points traced."""
+    `families._classify_type`.  An ngood trial reads its type's G from the
+    cell's `_ngood_outcomes`, drawing its index with `sample_ngood`'s rule
+    against the cached weights, and is tallied as (N, accepted) in N_good
+    with no classify call: every N_good type is in N and in N_good."""
     params = config.line()
-    good_lengths = families.accepted_lengths(params.m, params.r)
-    group, n, k, M, s = params.group, params.n, config.k, config.M, config.s
-    classify_type, is_ngood_type = families._classify_type, families.is_ngood_type
-    random_kmask, orbit_length = ksets.random_kmask, ksets.layout_orbit_length
-    other, in_n = families.FAMILY_OTHER, families.FAMILY_N
+    n, k, M = params.n, config.k, config.M
+    in_n = families.FAMILY_N
     rng, trials = _worker_stream(config, worker)
     getrandbits = rng.getrandbits
-    ngood = config.condition == "ngood"
-    if ngood:
-        subsets, cum, rows = _ngood_outcomes(params, k, s)
-        bits, total, last, random_ = subsets.bit_length(), cum[-1], len(cum) - 1, rng.random
     points = range(1, M + 1)
     contingency = {}
-    ngood_trials = ngood_accepted = traced = early = 0
-    for _ in range(trials):
-        if ngood:
-            fam, good, passing = rows[bisect(cum, random_() * total, 0, last)]
+    traced = early = 0
+    if config.condition == "ngood":
+        subsets, cum, counts = _ngood_outcomes(params, k)
+        bits, total, last, random_ = subsets.bit_length(), cum[-1], len(cum) - 1, rng.random
+        for _ in range(trials):
+            passing = counts[bisect(cum, random_() * total, 0, last)]
+            accepted = True
             if passing == subsets:  # pi_g = 1: every k-subset is accepted
-                accepted = True
                 traced += M
             else:
-                # a point passes with probability G/C exactly, as a uniform
-                # k-subset's orbit length is accepted.  G >= 1 at 2 <= k <= n/2,
-                # where k consecutive points of the m-cycle have orbit length
-                # m (when k < m), and a G = 0 type would fail its first point
-                accepted = True
                 for i in points:
                     x = getrandbits(bits)
                     while x >= subsets:
@@ -433,26 +405,35 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
                         early += i == 1
                         break
                 traced += i
+            key = (in_n, accepted)
+            contingency[key] = contingency.get(key, 0) + 1
+        return contingency, trials, contingency.get((in_n, True), 0), traced, early
+    good_lengths = families.accepted_lengths(params.m, params.r)
+    group, s = params.group, config.s
+    classify_type, is_ngood_type = families._classify_type, families.is_ngood_type
+    random_kmask, orbit_length = ksets.random_kmask, ksets.layout_orbit_length
+    other = families.FAMILY_OTHER
+    ngood_trials = ngood_accepted = 0
+    for _ in range(trials):
+        parts = _sample_type(group, n, getrandbits)
+        fam = classify_type(parts, params, s)
+        good = fam == in_n and is_ngood_type(parts, params)
+        if fam == other:
+            # no orbit length of an Other element is a multiple of m
+            accepted = False
+            traced += 1
+            early += 1
         else:
-            parts = _sample_type(group, n, getrandbits)
-            fam = classify_type(parts, params, s)
-            good = fam == in_n and is_ngood_type(parts, params)
-            if fam == other:
-                # no orbit length of an Other element is a multiple of m
-                accepted = False
-                traced += 1
-                early += 1
-            else:
-                # same accept set as capped tracing: any orbit longer than rm
-                # cannot equal r0*m, and the exact engine is far cheaper here;
-                # no mask is drawn after the first rejected one
-                accepted = True
-                for i in points:
-                    if orbit_length(random_kmask(n, k, rng), parts) not in good_lengths:
-                        accepted = False
-                        early += i == 1
-                        break
-                traced += i
+            # same accept set as capped tracing: any orbit longer than rm
+            # cannot equal r0*m, and the exact engine is far cheaper here;
+            # no mask is drawn after the first rejected one
+            accepted = True
+            for i in points:
+                if orbit_length(random_kmask(n, k, rng), parts) not in good_lengths:
+                    accepted = False
+                    early += i == 1
+                    break
+            traced += i
         key = (fam, accepted)
         contingency[key] = contingency.get(key, 0) + 1
         if good:
@@ -464,8 +445,9 @@ def _conditional_tally(config: ExperimentConfig, worker: int) -> tuple:
 def run_conditional(config: ExperimentConfig) -> SummaryStats:
     """Draw cycle types of elements (uniform in G by `sample_type`, or
     uniform in N_good by `sample_ngood` when config.condition == 'ngood'),
-    classify each, run the point-tracing test on M uniform k-subsets, and
-    tally family-by-outcome counts.
+    classify each uniform draw (an N_good type is always in N), run the
+    point-tracing test on M uniform k-subsets, and tally family-by-outcome
+    counts.
 
     Every tally is a class function, so no permutation is built: the cycles
     are laid on 0..n-1 as consecutive blocks, and a uniform k-subset has
@@ -476,32 +458,33 @@ def run_conditional(config: ExperimentConfig) -> SummaryStats:
     included, is the same on any number of processes.  The workers run on
     `process_count(config)` processes: min(workers, usable CPUs).
     The config is checked once per call (`ExperimentConfig.validate`), not
-    per trial: each trial draws and classifies through the unchecked
-    bodies of `sample_type` and `families.classify_type`.  In ngood mode
-    each of the at most 11 N_good types is classified, and its count G of
-    accepted k-subsets read from `ksets.good_ksubset_count`, once per
-    (params, k, s) cell (`_ngood_outcomes`), and a trial draws its type's
-    row of that table.
-    stats.cost counts the types drawn (`elements`), the points the test
-    traces (`points_traced`; a point decided without drawing its subset
-    counts as the black-box test would trace it) and the trials rejected
-    at their first point (`early_rejections`), under the keys of
+    per trial.  stats.cost counts the types drawn (`elements`), the points
+    the test traces (`points_traced`; a point decided without drawing its
+    subset counts as the black-box test would trace it) and the trials
+    rejected at their first point (`early_rejections`), under the keys of
     `Transcript.cost()`.
 
     A uniform trial draws its k-subsets as bit masks (`ksets.random_kmask`)
-    and reads their orbit lengths, unless its outcome is fixed: an Other
-    element's order is not a multiple of m, and every orbit length divides
-    the order, so no orbit length of it is an accepted r0*m.  Such a trial
-    draws no k-subset and counts one point traced and one early rejection,
-    what the black-box test pays to reject it at its first point.
+    and reads their orbit lengths, drawing no mask after the first rejected
+    one, unless its outcome is fixed: an Other element's order is not a
+    multiple of m, and every orbit length divides the order, so no orbit
+    length of it is an accepted r0*m.  Such a trial draws no k-subset and
+    counts one point traced and one early rejection, what the black-box
+    test pays to reject it at its first point.
 
-    ngood mode draws no k-subset.  A point of a type with C = C(n, k)
-    k-subsets, G of them accepted, passes with probability G/C, the law of
-    a uniform k-subset's verdict, so each point takes one exact
-    Bernoulli(G/C) draw (see `_conditional_tally`), up to its first
-    rejection.  A type with G = C (pi_g = 1, say a prime m with
-    n - m < k < m) draws nothing and counts M points traced and no early
-    rejection.  Only an N element can lie in N_good.
+    An ngood trial draws its type by `sample_ngood`'s rule and no k-subset.
+    Every N_good type has an m-cycle and order dividing rm, so it is in N
+    and in N_good, and its verdicts, like G, do not depend on s.  A point
+    of a type with C = C(n, k) k-subsets, G of them accepted (each type's G
+    read from `ksets.good_ksubset_count` once per (params, k) cell), passes
+    with probability G/C, the law of a uniform k-subset's verdict, so each
+    point takes one exact Bernoulli(G/C) draw, up to its first rejection:
+    x < C is drawn by `rng.randrange(C)`'s rule (`getrandbits(C.bit_length())`,
+    redrawn while x >= C), and the point passes when x < G.  A type with
+    G = C (pi_g = 1, say a prime m with n - m < k < m) draws nothing and
+    counts M points traced and no early rejection.  G >= 1 at
+    2 <= k <= n/2, where k consecutive points of the m-cycle have orbit
+    length m (when k < m); a G = 0 type would fail its first point.
     """
     config.validate()
     stats = SummaryStats(config)

@@ -494,6 +494,9 @@ class TestExitCodes:
         ["bounds", "--M", "4", "--s", "5/8", "--delta", "1/8", "--cdelta", "5", "--eps", "-1"],
         ["bounds", "--delta", "0"],  # outside c_delta_search's 0 < delta <= 1
         ["bounds", "--delta", "2"],
+        # a negative seed: random.Random would read -5 as 5
+        ["find-mcycle", "--group", "sym", "--n", "20", "--goal", "long-cycle", "--seed", "-5"],
+        ["experiment", "--group", "sym", "--n", "20", "--goal", "long-cycle", "--seed", "-5"],
     ])
     def test_bad_input_exits_2(self, argv, capsys):
         assert run(argv)[0] == 2

@@ -370,12 +370,24 @@ class TestClassify:
 
     def test_s_validated(self):
         lp = line_params(SYM, 10, LONG_CYCLE)
+        small = line_params(SYM, 7, TRANSPOSITION)
         g = Permutation.identity(10)
-        with pytest.raises(ValueError):
-            classify(g, lp, Fraction(1, 2))
-        # the element is checked first
-        with pytest.raises(ValueError, match="degree"):
-            classify(Permutation.identity(9), lp, Fraction(1, 2))
+        for s, match in [
+            (Fraction(1, 2), "s must lie in"),
+            (0.7, "s must be a Fraction, got 0.7"),
+            ("5/8", "s must be a Fraction, got '5/8'"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                classify(g, lp, s)
+            with pytest.raises(ValueError, match=match):
+                families.classify_type([10], lp, s)
+            with pytest.raises(ValueError, match=match):
+                montecarlo.class_table(small, 2, s)
+            with pytest.raises(ValueError, match=match):
+                montecarlo.exact_conditional(small, 2, 4, s)
+            # the element is checked first
+            with pytest.raises(ValueError, match="degree"):
+                classify(Permutation.identity(9), lp, s)
 
 
 class TestClassifyMatchesPointSets:

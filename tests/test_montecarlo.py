@@ -87,6 +87,20 @@ class TestRunConditional:
         floor = (48 / 50) ** 4
         assert est.value >= floor - 3 * est.half_width
 
+    @pytest.mark.parametrize("line", range(1, 10))
+    def test_ngood_results_do_not_depend_on_s(self, line):
+        # every N_good type is in N whatever s is, so the ngood harness reads
+        # no s: one k = 2 cell per line (all but lines 4 and 5 reject some
+        # trials there)
+        lp = first_admissible(line, 24)
+        results = set()
+        for s in (Fraction(5, 8), Fraction(2, 3), Fraction(7, 10)):
+            st = montecarlo.run_conditional(cfg(group=lp.group, n=lp.n, goal=families.LINES[line][1],
+                                                k=2, s=s, condition="ngood", trials=500, seed=line))
+            results.add((tuple(st.contingency.items()), st.ngood_trials, st.ngood_accepted,
+                         tuple(sorted(st.cost.items()))))
+        assert len(results) == 1, results
+
     @pytest.mark.parametrize(
         "line, n, k, condition, contingency, ngood_trials, ngood_accepted, cost", [
             # uniform draws through the rng.sample mask path (3k <= n)
@@ -338,13 +352,12 @@ class TestForcedOutcomes:
             types, cum = montecarlo._ngood_table(lp.group, n, lp.m, lp.r)
             assert set(types) == set(families.ngood_types(lp.group, n, lp.m, lp.r))
             for k in range(2, n // 2 + 1):  # the harness's range has no G = 0 type
-                rows = montecarlo._ngood_outcomes(lp, k, Fraction(5, 8))[2]
-                assert all(passing >= 1 for _, _, passing in rows), (n, k)
+                counts = montecarlo._ngood_outcomes(lp, k)[2]
+                assert all(passing >= 1 for passing in counts), (n, k)
             for k in sorted({2, 3, 4, n // 2, n}):
-                subsets, cum_k, rows = montecarlo._ngood_outcomes(lp, k, Fraction(5, 8))
-                assert (subsets, cum_k, len(rows)) == (math.comb(n, k), cum, len(types))
-                for parts, (fam, good, passing) in zip(types, rows):
-                    assert (fam, good) == (families.FAMILY_N, True)
+                subsets, cum_k, counts = montecarlo._ngood_outcomes(lp, k)
+                assert (subsets, cum_k, len(counts)) == (math.comb(n, k), cum, len(types))
+                for parts, passing in zip(types, counts):
                     if subsets <= math.comb(18, 9):
                         assert passing == sum(enumerated_verdicts(parts, k, good_lengths)), (n, k, parts)
                     else:
@@ -405,9 +418,9 @@ class TestForcedOutcomes:
         # 10**-8 of 1 at k = n/2, so those cells' verdicts nearly all pass)
         config = cfg(n=n, k=k, condition="ngood", trials=300, seed=n)
         params = config.line()
-        subsets, _, rows = montecarlo._ngood_outcomes(params, k, config.s)
+        subsets, _, by_index = montecarlo._ngood_outcomes(params, k)
         types = montecarlo._ngood_table(params.group, n, params.m, params.r)[0]
-        counts = {parts: passing for parts, (_, _, passing) in zip(types, rows)}
+        counts = dict(zip(types, by_index))
         assert any(0 < passing < subsets for passing in counts.values())
         ours, theirs = (montecarlo._worker_stream(config, 0)[0] for _ in range(2))
         monkeypatch.setattr(montecarlo, "_worker_stream", lambda config, worker: (ours, config.trials))
@@ -846,8 +859,8 @@ class TestSampleNgood:
 
     @pytest.mark.parametrize("line", range(1, 10))
     def test_table_types_are_n_and_ngood(self, line):
-        # the conditional harness classifies each N_good type once per call
-        # and reuses the answer for every trial that draws it
+        # the fact the ngood loop relies on to tally every trial, with no
+        # classify call, as (N, accepted) and in N_good
         for start in (24, 100):
             lp = first_admissible(line, start)
             types = montecarlo._ngood_table(lp.group, lp.n, lp.m, lp.r)[0]
